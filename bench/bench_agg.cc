@@ -112,18 +112,12 @@ void ReportAggCounters(benchmark::State& state, const MorselScheduler& sched,
 void RunPlanBench(benchmark::State& state, const QueryPlan& plan,
                   bool parallel, int workers) {
   ExecOptions o;
-  o.use_morsels = parallel;
-  o.use_parallel_agg = parallel;
-  o.morsel_workers = workers;
-  Evaluator eval(o);
-  std::shared_ptr<MorselScheduler> sched;
-  std::vector<MorselWorkerStats> before;
-  uint64_t caller_before = 0;
-  if (parallel) {
-    sched = eval.EnsureMorselScheduler();
-    before = sched->worker_stats();
-    caller_before = sched->caller_tasks();
-  }
+  // Whole column = one morsel spanning the input.
+  if (!parallel) o.morsel_rows = kRows;
+  auto sched = std::make_shared<MorselScheduler>(workers);
+  Evaluator eval(o, sched);
+  const std::vector<MorselWorkerStats> before = sched->worker_stats();
+  const uint64_t caller_before = sched->caller_tasks();
   EvalResult last;
   auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {

@@ -18,9 +18,8 @@ int main() {
          "lineitem=" + std::to_string(cfg.lineitem_rows) +
              " seed=" + std::to_string(cfg.seed) + " sim=2x16c/32t");
   auto cat = Tpch::Generate(cfg);
-  EngineConfig ecfg = PaperEngine();
-  ecfg.exec_threads = 0;  // hardware truth: one worker per hardware thread
-  Engine engine(ecfg);
+  // Hardware truth runs on the default fleet: one worker per hardware thread.
+  Engine engine(PaperEngine());
 
   // Background: a mixed bag of heuristic plans invoked by 32 clients.
   std::vector<QueryPlan> bg_plans;
@@ -40,7 +39,7 @@ int main() {
 
   // Simulated times drive the paper shape; the "wall" column is hardware
   // truth: the evaluator's real wall-clock on this host, with plan nodes
-  // executed on one worker per hardware thread (exec_threads = 0 above).
+  // executed on one worker per hardware thread (the default fleet).
   TablePrinter table({"query", "dop 8 (ms)", "dop 16 (ms)", "dop 32 (ms)",
                       "best dop", "wall@32 (ms)"});
   for (const char* q : {"Q9", "Q8", "Q19"}) {

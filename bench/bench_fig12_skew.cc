@@ -91,7 +91,6 @@ int main(int argc, char** argv) {
     APQ_CHECK(plan.ok());
 
     EngineConfig base = EngineConfig::WithSim(sim);
-    base.use_morsels = true;
     base.morsel_rows = morsel_rows;
 
     EngineConfig uniform_cfg = base;

@@ -1,16 +1,20 @@
 // Execution-backend microbenchmarks (google-benchmark, real wall-clock):
-// the scalar row-at-a-time interpreter vs the vectorized selection-vector
-// kernels, and serial vs thread-pool execution of exchange-parallelized
-// plans. These are the hardware-truth numbers behind the simulated figures;
-// baselines are recorded in CHANGES.md.
+// the scalar row-at-a-time interpreter vs the whole-column vectorized
+// selection-vector kernels, and exchange-parallelized plans whose clones run
+// as one node wave on fleets of 1-8 workers. These are the hardware-truth
+// numbers behind the simulated figures; baselines are recorded in
+// CHANGES.md.
 //
 // Run: build/bench_kernels [--benchmark_filter=...]
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "exec/evaluator.h"
 #include "heuristic/parallelizer.h"
 #include "exec/kernels.h"
 #include "plan/builder.h"
+#include "sched/morsel_scheduler.h"
 #include "util/rng.h"
 
 namespace apq {
@@ -39,8 +43,13 @@ Fixture& F() {
   return f;
 }
 
-Evaluator MakeEval(bool use_kernels, int threads = 1) {
-  return Evaluator(ExecOptions{use_kernels, threads});
+// Whole-column execution (one morsel spans every fixture column) on a fleet
+// of `workers`, so the kernel rows measure kernels, not morsel scheduling.
+Evaluator MakeEval(bool use_kernels, int workers = 1) {
+  ExecOptions o;
+  o.use_kernels = use_kernels;
+  o.morsel_rows = F().ints->size();
+  return Evaluator(o, std::make_shared<MorselScheduler>(workers));
 }
 
 // ---- select: dense scan ----------------------------------------------------
@@ -162,9 +171,10 @@ BENCHMARK(BM_JoinProbeScalar);
 BENCHMARK(BM_JoinProbeVectorized);
 
 // ---- threaded execution of an exchange-parallelized plan -------------------
-// range(0) = evaluator worker threads. The serial select+fetch+sum pipeline
-// is statically parallelized 8 ways (mitosis-style), yielding 8 independent
-// clone subtrees feeding the final pack/merge: real concurrency for the pool.
+// range(0) = fleet workers. The serial select+fetch+sum pipeline is
+// statically parallelized 8 ways (mitosis-style), yielding 8 independent
+// clone subtrees feeding the final pack/merge: each wave of clones runs
+// concurrently on the fleet.
 
 void BM_ExchangePlanThreads(benchmark::State& state) {
   Evaluator eval = MakeEval(true, static_cast<int>(state.range(0)));
@@ -183,8 +193,8 @@ void BM_ExchangePlanThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * F().ints->size());
 }
 // Real time is the relevant axis for thread scaling. On a single-core host
-// the >1-thread rows show pure pool overhead; wall-clock speedup needs >= 2
-// hardware threads (the acceptance target is >1x on >= 4 cores).
+// the >1-worker rows show pure scheduling overhead; wall-clock speedup needs
+// >= 2 hardware threads (the acceptance target is >1x on >= 4 cores).
 BENCHMARK(BM_ExchangePlanThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime();
 

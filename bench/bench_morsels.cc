@@ -1,6 +1,7 @@
 // Morsel-driven vs whole-column execution (google-benchmark, real
 // wall-clock): dense select and fetch-join at 2M rows, whole-column kernels
-// vs morsel execution across worker counts. Per-worker throughput is reported
+// (one morsel as large as the table) vs default-size morsels across worker
+// counts. Per-worker throughput is reported
 // via counters (workerN_tasks/s plus a steal rate), so scheduler balance is
 // visible even where wall-clock speedup isn't (single-core CI containers).
 //
@@ -80,20 +81,15 @@ void ReportWorkerThroughput(benchmark::State& state,
 }
 
 void RunPlanBench(benchmark::State& state, const QueryPlan& plan,
-                  bool use_morsels) {
+                  bool split) {
   const int workers = static_cast<int>(state.range(0));
   ExecOptions o;
-  o.use_morsels = use_morsels;
-  o.morsel_workers = workers;
-  Evaluator eval(o);
-  std::shared_ptr<MorselScheduler> sched;
-  std::vector<MorselWorkerStats> before;
-  uint64_t caller_before = 0;
-  if (use_morsels) {
-    sched = eval.EnsureMorselScheduler();
-    before = sched->worker_stats();
-    caller_before = sched->caller_tasks();
-  }
+  // Whole column = one morsel spanning the input.
+  if (!split) o.morsel_rows = F().ints->size();
+  auto sched = std::make_shared<MorselScheduler>(workers);
+  Evaluator eval(o, sched);
+  const std::vector<MorselWorkerStats> before = sched->worker_stats();
+  const uint64_t caller_before = sched->caller_tasks();
   auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
     EvalResult er;
@@ -103,18 +99,18 @@ void RunPlanBench(benchmark::State& state, const QueryPlan& plan,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   state.SetItemsProcessed(state.iterations() * F().ints->size());
-  if (use_morsels) {
+  if (split) {
     ReportWorkerThroughput(state, *sched, before, caller_before, elapsed_s);
   }
 }
 
 void BM_SelectWholeColumn(benchmark::State& state) {
-  RunPlanBench(state, SelectPlan(), /*use_morsels=*/false);
+  RunPlanBench(state, SelectPlan(), /*split=*/false);
 }
 BENCHMARK(BM_SelectWholeColumn)->Arg(1)->UseRealTime();
 
 void BM_SelectMorsels(benchmark::State& state) {
-  RunPlanBench(state, SelectPlan(), /*use_morsels=*/true);
+  RunPlanBench(state, SelectPlan(), /*split=*/true);
 }
 // range(0) = morsel scheduler workers. On a single-core host the >1-worker
 // rows show scheduling overhead only; wall-clock speedup needs real cores
@@ -122,12 +118,12 @@ void BM_SelectMorsels(benchmark::State& state) {
 BENCHMARK(BM_SelectMorsels)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_FetchJoinWholeColumn(benchmark::State& state) {
-  RunPlanBench(state, FetchJoinPlan(), /*use_morsels=*/false);
+  RunPlanBench(state, FetchJoinPlan(), /*split=*/false);
 }
 BENCHMARK(BM_FetchJoinWholeColumn)->Arg(1)->UseRealTime();
 
 void BM_FetchJoinMorsels(benchmark::State& state) {
-  RunPlanBench(state, FetchJoinPlan(), /*use_morsels=*/true);
+  RunPlanBench(state, FetchJoinPlan(), /*split=*/true);
 }
 BENCHMARK(BM_FetchJoinMorsels)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 

@@ -254,9 +254,7 @@ int main(int argc, char** argv) {
   // max_concurrent executors, capacity ~= max_concurrent / t_mean.
   double t_mean_ns;
   {
-    EngineConfig ecfg;
-    ecfg.use_morsels = true;
-    Engine engine(ecfg);
+    Engine engine;
     double total = 0;
     int runs = 0;
     for (uint64_t i = 0; i < 10; ++i) {

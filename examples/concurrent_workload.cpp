@@ -35,7 +35,6 @@ static void SharedSchedulerDemo(const std::shared_ptr<Catalog>& catalog) {
   std::vector<std::unique_ptr<Engine>> engines;
   for (int c = 0; c < kClients; ++c) {
     EngineConfig cfg = EngineConfig::WithSim(SimConfig::TwoSocket32());
-    cfg.use_morsels = true;
     cfg.morsel_rows = 8192;
     cfg.morsel_scheduler = sched;  // every engine shares the one fleet
     engines.push_back(std::make_unique<Engine>(cfg));

@@ -74,7 +74,6 @@ int main() {
   // runs morsel-driven: the profiler's printed report carries a per-operator
   // morsel count and skew column (max/mean morsel wall time).
   EngineConfig mcfg = EngineConfig::WithSim(SimConfig::Cores(8, 8));
-  mcfg.use_morsels = true;
   Engine morsel_engine(mcfg);
   auto mr = morsel_engine.RunSerial(plan.ValueOrDie());
   APQ_CHECK(mr.ok());

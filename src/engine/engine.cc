@@ -1,5 +1,6 @@
 #include "engine/engine.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "obs/http_exporter.h"
@@ -53,8 +54,7 @@ void RecordQuery(const QueryProfileDoc& doc, int runs, int mutations) {
 
 // Folds query `qid`'s resource-accounting block into `doc` (peak bytes, CPU,
 // queue wait — zeros with accounting off) and retires the block. `workers` is
-// the parallel-efficiency denominator: the morsel-scheduler fleet size when
-// one exists, else 1 (whole-column execution runs on the calling thread).
+// the parallel-efficiency denominator: the size of the evaluator's fleet.
 void SnapshotResources(uint64_t qid, const Evaluator& evaluator,
                        QueryProfileDoc* doc) {
   obs::QueryResources qr;
@@ -63,10 +63,7 @@ void SnapshotResources(uint64_t qid, const Evaluator& evaluator,
     doc->cpu_ns = static_cast<double>(qr.cpu_ns);
     doc->queue_wait_ns = static_cast<double>(qr.queue_wait_ns);
   }
-  const auto& sched = evaluator.morsel_scheduler();
-  doc->workers = (sched != nullptr && sched->num_workers() > 0)
-                     ? sched->num_workers()
-                     : 1;
+  doc->workers = std::max(1, evaluator.morsel_scheduler()->num_workers());
   obs::FinishQuery(qid);
 }
 

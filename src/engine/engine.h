@@ -26,27 +26,10 @@ struct EngineConfig {
   MutatorConfig mutator;
   int hp_dop = 32;                 // heuristic parallelizer default DOP
   bool verify_results = false;     // cross-check every adaptive run
-  /// Real execution backend: worker threads for plan-node execution
-  /// (1 = serial, 0 = one per hardware thread) and vectorized kernels.
-  /// Simulated timings are unaffected; wall_ns fields report hardware truth.
-  int exec_threads = 1;
-  bool use_kernels = true;
-  /// Morsel-driven intra-operator execution (see ExecOptions::use_morsels).
-  bool use_morsels = false;
+  /// Rows per morsel of the real execution backend (see
+  /// ExecOptions::morsel_rows). Simulated timings are unaffected; wall_ns
+  /// fields report hardware truth.
   uint64_t morsel_rows = kDefaultMorselRows;
-  int morsel_workers = 0;  // 0 = one per hardware thread
-  /// Morsel-parallel aggregation + hash-join probe (exec/agg/; see
-  /// ExecOptions::use_parallel_agg). Only active when morsels are on.
-  bool use_parallel_agg = true;
-  /// Morsel-parallel sort: per-morsel stable runs + merge-path loser-tree
-  /// merge (exec/sort/; see ExecOptions::use_parallel_sort). Only active
-  /// when morsels are on.
-  bool use_parallel_sort = true;
-  /// Runtime skew response (see ExecOptions::adaptive_morsel_rows): the
-  /// adaptive loop shrinks the morsel size of operators whose previous run
-  /// crossed MutatorConfig::skew_threshold, so stealing rebalances within
-  /// the operator between mutations.
-  bool adaptive_morsel_rows = true;
   /// SIMD dispatch tier for the vectorized kernels (see
   /// ExecOptions::simd_level): kAuto = best level the CPU supports; lower
   /// levels pin the tier for differential testing. APQ_SIMD overrides.
@@ -63,12 +46,10 @@ struct EngineConfig {
   /// enables it too, without Engine plumbing; a failing bind warns once and
   /// introspection stays off — it never fails a query.
   int http_port = 0;
-  /// Morsel scheduler to share with other engines/queries. When null and
-  /// use_morsels is set, the engine creates its own; pass
-  /// MorselScheduler::Shared() (or another engine's morsel_scheduler()) so
-  /// concurrent queries multiplex one worker fleet instead of one pool each.
-  /// Injecting a scheduler implies use_morsels — a shared fleet that no
-  /// query ever dispatches to would be a silent misconfiguration.
+  /// The worker fleet this engine's queries run on (plan-node waves and
+  /// morsel tasks alike). Null = MorselScheduler::Shared(), the process-wide
+  /// hardware-sized fleet; inject std::make_shared<MorselScheduler>(w) to
+  /// pin a fleet size, or another engine's morsel_scheduler() to share one.
   std::shared_ptr<MorselScheduler> morsel_scheduler;
 
   EngineConfig() { convergence.cores = sim.logical_cores; }
@@ -99,25 +80,17 @@ class Engine {
  public:
   explicit Engine(EngineConfig config = EngineConfig())
       : config_(config),
-        evaluator_(MakeExecOptions(config)),
+        evaluator_(MakeExecOptions(config), config.morsel_scheduler),
         cost_model_(config.cost),
         simulator_(config.sim) {
-    if (config_.morsel_scheduler) {
-      evaluator_.set_morsel_scheduler(config_.morsel_scheduler);
-    } else if (config_.use_morsels) {
-      // Created eagerly so morsel_scheduler() can be handed to sibling
-      // engines before the first query runs.
-      evaluator_.EnsureMorselScheduler();
-    }
     if (config_.http_port > 0) StartIntrospection(config_.http_port);
   }
 
   const EngineConfig& config() const { return config_; }
   Evaluator* evaluator() { return &evaluator_; }
 
-  /// The morsel scheduler this engine's queries execute on (null unless
-  /// use_morsels or an injected scheduler). Pass it to other engines'
-  /// EngineConfig::morsel_scheduler to share one worker fleet.
+  /// The worker fleet this engine's queries execute on (never null). Pass
+  /// it to other engines' EngineConfig::morsel_scheduler to share it.
   const std::shared_ptr<MorselScheduler>& morsel_scheduler() const {
     return evaluator_.morsel_scheduler();
   }
@@ -172,14 +145,7 @@ class Engine {
 
   static ExecOptions MakeExecOptions(const EngineConfig& c) {
     ExecOptions o;
-    o.use_kernels = c.use_kernels;
-    o.num_threads = c.exec_threads;
-    o.use_morsels = c.use_morsels || c.morsel_scheduler != nullptr;
     o.morsel_rows = c.morsel_rows;
-    o.morsel_workers = c.morsel_workers;
-    o.use_parallel_agg = c.use_parallel_agg;
-    o.use_parallel_sort = c.use_parallel_sort;
-    o.adaptive_morsel_rows = c.adaptive_morsel_rows;
     o.simd_level = c.simd_level;
     o.trace = c.trace;
     return o;

@@ -1,6 +1,7 @@
 #include "exec/agg/parallel_agg.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "obs/resource_tracker.h"
@@ -122,7 +123,7 @@ size_t ParallelGroupBy(const int64_t* keys, uint64_t n,
 namespace {
 
 // ---- dense-range flat ingest ------------------------------------------------
-// For small group counts the per-morsel hash table is overkill: a flat array
+// For small group counts the per-block hash table is overkill: a flat array
 // indexed by gid ingests with one load/store per row (no hashing, no probe
 // chain), and equal-gid runs fold through the SIMD ingest reductions. Only
 // folds whose result provably equals the per-row fold are vectorized, so the
@@ -132,7 +133,7 @@ namespace {
 /// Minimum equal-gid run length worth a SIMD reduction call.
 constexpr uint64_t kSimdRunRows = 16;
 
-/// Flat per-morsel partial: vals/counts indexed by gid. Absent groups keep
+/// Flat per-block partial: vals/counts indexed by gid. Absent groups keep
 /// the fold identity (kMin: 1e300, kMax: -1e300, else 0; count 0), so the
 /// merge can fold every slot unconditionally as an exact no-op.
 struct FlatPartial {
@@ -145,10 +146,10 @@ void IngestFlat(const int64_t* gids, const double* vf, const int64_t* vi,
                 FlatPartial* out) {
   double* vals = out->vals.data();
   int64_t* counts = out->counts.data();
-  // Morsel-level SUM exactness: when rows * max|v| <= 2^53 every partial sum
+  // Block-level SUM exactness: when rows * max|v| <= 2^53 every partial sum
   // of every group's fold (any association) stays on integers doubles
   // represent exactly, so adding an equal-gid run as one integer sum is
-  // bit-identical to the row loop. Checked once per morsel.
+  // bit-identical to the row loop. Checked once per block.
   bool exact_sum = false;
   if (vi != nullptr && (fn == AggFn::kSum || fn == AggFn::kAvg) &&
       simd != nullptr && simd->sum_i64_exact != nullptr &&
@@ -173,7 +174,7 @@ void IngestFlat(const int64_t* gids, const double* vf, const int64_t* vi,
       switch (fn) {
         case AggFn::kCount:
           // The repeated +1.0 fold stays exact while the count is <= 2^53;
-          // vals[g] is bounded by the morsel row count, far below that.
+          // vals[g] is bounded by the block row count, far below that.
           vals[g] += static_cast<double>(len);
           folded = true;
           break;
@@ -234,7 +235,7 @@ void IngestFlat(const int64_t* gids, const double* vf, const int64_t* vi,
   }
 }
 
-/// Memory budget for the flat path: per-morsel arrays are nm * ngroups
+/// Memory budget for the flat path: per-block arrays are nb * ngroups
 /// cells of 16 bytes. Past these bounds the hash path is the better deal.
 constexpr uint64_t kFlatMaxGroups = 4096;
 constexpr uint64_t kFlatMaxCells = 1ull << 22;
@@ -246,21 +247,31 @@ size_t ParallelGroupedAgg(const int64_t* gids, uint64_t n,
                           AggFn fn, uint64_t ngroups,
                           const ParallelAggOptions& opts, double* out_vals,
                           int64_t* out_counts) {
-  MorselSource src(0, n, opts.morsel_rows);
-  const size_t nm = src.num_morsels();
-  if (nm < 2 || opts.scheduler == nullptr || ngroups == 0) return 0;
+  MorselSource src(0, n, kAggFoldRows);
+  const size_t nb = src.num_morsels();
+  if (nb < 2 || opts.scheduler == nullptr || ngroups == 0) return 0;
   MorselScheduler& sched = *opts.scheduler;
+  // Phase-1 tasks: runs of whole blocks, about one morsel each.
+  const size_t per_task =
+      std::max<uint64_t>(1, opts.morsel_rows / kAggFoldRows);
+  const size_t ntasks = (nb + per_task - 1) / per_task;
+  auto for_each_block = [&](const std::function<void(size_t)>& fold) {
+    sched.ParallelFor(ntasks, [&](size_t t, int) {
+      const size_t end = std::min(nb, (t + 1) * per_task);
+      for (size_t i = t * per_task; i < end; ++i) fold(i);
+    });
+  };
 
   if (ngroups <= kFlatMaxGroups &&
-      static_cast<uint64_t>(nm) * ngroups <= kFlatMaxCells) {
+      static_cast<uint64_t>(nb) * ngroups <= kFlatMaxCells) {
     // Dense-range flat path. Same structure as the hash path below — phase 1
-    // per-morsel partials, phase 2 contiguous-gid-range merge folding
-    // morsels in index order — with arrays instead of hash tables.
+    // per-block partials, phase 2 contiguous-gid-range merge folding blocks
+    // in index order — with arrays instead of hash tables.
     const double init = fn == AggFn::kMin ? 1e300
                         : fn == AggFn::kMax ? -1e300
                                             : 0.0;
-    std::vector<FlatPartial> partials(nm);
-    sched.ParallelFor(nm, [&](size_t i, int) {
+    std::vector<FlatPartial> partials(nb);
+    for_each_block([&](size_t i) {
       partials[i].vals.assign(ngroups, init);
       partials[i].counts.assign(ngroups, 0);
       const Morsel ms = src.morsel(i);
@@ -268,9 +279,9 @@ size_t ParallelGroupedAgg(const int64_t* gids, uint64_t n,
                  &partials[i]);
     });
 
-    // nm * ngroups cells of 16 bytes, live until the merge below finishes.
+    // nb * ngroups cells of 16 bytes, live until the merge below finishes.
     obs::ScopedMemCharge partials_charge(
-        static_cast<uint64_t>(nm) * ngroups *
+        static_cast<uint64_t>(nb) * ngroups *
         (sizeof(double) + sizeof(int64_t)));
 
     size_t nparts = static_cast<size_t>(sched.num_workers()) + 1;
@@ -278,14 +289,14 @@ size_t ParallelGroupedAgg(const int64_t* gids, uint64_t n,
     sched.ParallelFor(nparts, [&](size_t p, int) {
       // Partition p owns gids with gid * nparts / ngroups == p — the range
       // [ceil(p*ngroups/nparts), ceil((p+1)*ngroups/nparts)). Groups absent
-      // from a morsel are skipped (count 0), so each output slot sees
-      // exactly the folds the hash merge performs, in morsel index order.
+      // from a block are skipped (count 0), so each output slot sees
+      // exactly the folds the hash merge performs, in block index order.
       const uint64_t lo = (p * ngroups + nparts - 1) / nparts;
       const uint64_t hi = ((p + 1) * ngroups + nparts - 1) / nparts;
       for (uint64_t g = lo; g < hi; ++g) {
         double v = out_vals[g];
         int64_t c = out_counts[g];
-        for (size_t i = 0; i < nm; ++i) {
+        for (size_t i = 0; i < nb; ++i) {
           if (partials[i].counts[g] == 0) continue;
           const double pv = partials[i].vals[g];
           switch (fn) {
@@ -302,19 +313,19 @@ size_t ParallelGroupedAgg(const int64_t* gids, uint64_t n,
         out_counts[g] = c;
       }
     });
-    return nm;
+    return nb;
   }
 
-  // Phase 1 — per-morsel partials. Tables are per *morsel*, not per worker:
-  // the merge folds them in morsel index order, so the result is independent
+  // Phase 1 — per-block partials. Tables are per *block*, not per worker:
+  // the merge folds them in block index order, so the result is independent
   // of which worker ran what (per-worker partials would reassociate
-  // differently every run). Each morsel buckets its groups by output
+  // differently every run). Each block buckets its groups by output
   // partition as it finishes, so the merge scans every group exactly once.
   size_t nparts = static_cast<size_t>(sched.num_workers()) + 1;
   if (nparts > ngroups) nparts = ngroups;
-  std::vector<AggTable> partials(nm);
-  std::vector<std::vector<std::vector<uint32_t>>> pbuckets(nm);
-  sched.ParallelFor(nm, [&](size_t i, int) {
+  std::vector<AggTable> partials(nb);
+  std::vector<std::vector<std::vector<uint32_t>>> pbuckets(nb);
+  for_each_block([&](size_t i) {
     AggTable& tab = partials[i];
     const Morsel ms = src.morsel(i);
     for (uint64_t pos = ms.begin; pos < ms.end; ++pos) {
@@ -331,7 +342,7 @@ size_t ParallelGroupedAgg(const int64_t* gids, uint64_t n,
     }
   });
 
-  // Per-morsel hash partials, live until the merge below folds them.
+  // Per-block hash partials, live until the merge below folds them.
   obs::ScopedMemCharge partials_charge;
   for (const AggTable& tab : partials) partials_charge.Add(tab.byte_size());
 
@@ -339,7 +350,7 @@ size_t ParallelGroupedAgg(const int64_t* gids, uint64_t n,
   // gid * nparts / ngroups == p (a contiguous range), so each output slot is
   // folded by exactly one worker and the folds race with nothing.
   sched.ParallelFor(nparts, [&](size_t p, int) {
-    for (size_t i = 0; i < nm; ++i) {
+    for (size_t i = 0; i < nb; ++i) {
       const AggTable& tab = partials[i];
       for (uint32_t s : pbuckets[i][p]) {
         const int64_t gid = tab.key(s);
@@ -359,7 +370,7 @@ size_t ParallelGroupedAgg(const int64_t* gids, uint64_t n,
       }
     }
   });
-  return nm;
+  return nb;
 }
 
 }  // namespace apq

@@ -15,13 +15,14 @@
 //    scalar interpreter's first-occurrence numbering *bit-identically*,
 //    regardless of morsel size, worker count, or steal order.
 //
-//  * ParallelGroupedAgg — each *morsel* folds its rows into a private
-//    AggTable keyed by (already-global) group id; partials are merged over
-//    contiguous group-id ranges, one range per worker, folding tables in
-//    morsel index order so the result is deterministic across worker counts
-//    and runs. Counts and MIN/MAX/COUNT values are bit-identical to the
-//    scalar loop; SUM/AVG reassociate across morsel boundaries (partial sums
-//    added in morsel order), which is deterministic but may differ from the
+//  * ParallelGroupedAgg — each fixed-size input *block* (kAggFoldRows rows,
+//    whatever the morsel size) folds its rows into a private partial keyed
+//    by (already-global) group id; partials are merged over contiguous
+//    group-id ranges, one range per worker, folding blocks in index order so
+//    the result is deterministic across worker counts, morsel sizes and
+//    runs. Counts and MIN/MAX/COUNT values are bit-identical to the scalar
+//    loop; SUM/AVG reassociate across block boundaries (partial sums added
+//    in block order), which is deterministic but may differ from the
 //    sequential fold in the last bits.
 #ifndef APQ_EXEC_AGG_PARALLEL_AGG_H_
 #define APQ_EXEC_AGG_PARALLEL_AGG_H_
@@ -36,6 +37,12 @@
 #include "sched/morsel_scheduler.h"
 
 namespace apq {
+
+/// Grouped-aggregation partials fold at multiples of this many input rows.
+/// It is a constant, not the morsel size: the service scales morsel_rows
+/// with its admission grant and APQ_FORCE_MORSELS overrides it, and neither
+/// may change a SUM/AVG result.
+constexpr uint64_t kAggFoldRows = kDefaultMorselRows;
 
 /// \brief How the aggregation pipeline splits and schedules its input.
 struct ParallelAggOptions {
@@ -64,8 +71,11 @@ size_t ParallelGroupBy(const int64_t* keys, uint64_t n,
                        std::vector<int64_t>* out_keys,
                        std::vector<MorselMetrics>* morsels);
 
-/// \brief Morsel-parallel grouped aggregation.
+/// \brief Block-parallel grouped aggregation.
 ///
+/// Folds each block of kAggFoldRows rows into its own partial and the
+/// partials in block order; tasks are runs of whole blocks of about
+/// `opts.morsel_rows` rows, so the morsel size only sets the parallelism.
 /// `gids[0..n)` are dense group ids in [0, ngroups); row i's value is
 /// vals_f64[i] / vals_i64[i] (whichever is non-null) or 1.0 when both are
 /// null (COUNT). Folds into out_vals/out_counts[0..ngroups), which the
@@ -73,8 +83,9 @@ size_t ParallelGroupBy(const int64_t* keys, uint64_t n,
 /// -1e300, else 0; counts 0). AVG is left as (sum, count) — the caller
 /// divides, as on the sequential path.
 ///
-/// Returns the number of morsels run; 0 = caller runs its sequential loop
-/// (nothing has been written).
+/// Returns the number of blocks folded; 0 when the input fits in one block
+/// (the caller's sequential loop then computes the same fold) or no
+/// scheduler was given — nothing has been written.
 size_t ParallelGroupedAgg(const int64_t* gids, uint64_t n,
                           const double* vals_f64, const int64_t* vals_i64,
                           AggFn fn, uint64_t ngroups,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
@@ -94,12 +93,11 @@ Status InputSlot(const std::vector<Intermediate>& slots,
   return Status::OK();
 }
 
-// CI and stress runs force morsel execution onto every kernels-path query
-// without touching call sites. Returns 0 when unset/off, 1 when set (keep the
-// configured morsel size), or a row count when the variable carries one
-// (APQ_FORCE_MORSELS=4096 — small enough that unit-test tables split too).
-// Anything that does not parse as a sane row count is rejected with a
-// one-line warning rather than silently becoming an undefined morsel size.
+// CI and stress runs override the morsel size of every kernels-path query
+// without touching call sites (APQ_FORCE_MORSELS=512 — small enough that
+// unit-test tables split too). Returns 0 when unset, else the rows per
+// morsel. Anything that does not parse as a sane row count is rejected with
+// a one-line warning rather than silently becoming an undefined morsel size.
 uint64_t ForcedMorselRowsFromEnv() {
   // A morsel bigger than this could only mean a typo (it exceeds any table
   // this repository can hold in memory) or a negative value pushed through
@@ -114,7 +112,7 @@ uint64_t ForcedMorselRowsFromEnv() {
     if (end == v || *end != '\0') {
       std::fprintf(stderr,
                    "apq: ignoring APQ_FORCE_MORSELS=\"%s\": not a number "
-                   "(use 1 to force, or a rows-per-morsel count)\n",
+                   "(use a rows-per-morsel count)\n",
                    v);
       return uint64_t{0};
     }
@@ -127,13 +125,11 @@ uint64_t ForcedMorselRowsFromEnv() {
     }
     if (n == 0) {
       std::fprintf(stderr,
-                   "apq: APQ_FORCE_MORSELS=\"%s\" parses to 0; morsel "
-                   "execution is NOT forced\n",
+                   "apq: ignoring APQ_FORCE_MORSELS=\"%s\": a morsel needs "
+                   "at least one row\n",
                    v);
       return uint64_t{0};
     }
-    // 1 forces with the configured size, larger values force that many rows
-    // per morsel.
     return static_cast<uint64_t>(n);
   }();
   return forced;
@@ -170,42 +166,19 @@ const TupleFlow& TupleFlowFor(OpKind k) {
 #define APQ_INPUT_OF(ctx, id, out) \
   APQ_RETURN_NOT_OK(InputSlot(*(ctx).slots, *(ctx).done, (id), (out)))
 
-bool Evaluator::MorselsEnabled() const {
-  return options_.use_kernels &&
-         (options_.use_morsels || ForcedMorselRowsFromEnv() != 0);
-}
-
-bool Evaluator::ParallelAggEnabled() const {
-  return MorselsEnabled() &&
-         (options_.use_parallel_agg || ForcedMorselRowsFromEnv() != 0);
-}
-
-bool Evaluator::ParallelSortEnabled() const {
-  return MorselsEnabled() &&
-         (options_.use_parallel_sort || ForcedMorselRowsFromEnv() != 0);
-}
-
 uint64_t Evaluator::EffectiveMorselRows() const {
   const uint64_t forced = ForcedMorselRowsFromEnv();
-  return forced > 1 ? forced : options_.morsel_rows;
+  return forced > 0 ? forced : options_.morsel_rows;
 }
 
 uint64_t Evaluator::ForcedEnvMorselRows() { return ForcedMorselRowsFromEnv(); }
 
 uint64_t Evaluator::MorselRowsForNode(int node_id) const {
-  if (options_.adaptive_morsel_rows && !adaptive_rows_.empty()) {
+  if (!adaptive_rows_.empty()) {
     auto it = adaptive_rows_.find(node_id);
     if (it != adaptive_rows_.end() && it->second > 0) return it->second;
   }
   return EffectiveMorselRows();
-}
-
-const std::shared_ptr<MorselScheduler>& Evaluator::EnsureMorselScheduler() {
-  if (!morsel_sched_) {
-    morsel_sched_ = std::make_shared<MorselScheduler>(options_.morsel_workers);
-    morsel_sched_owned_ = true;
-  }
-  return morsel_sched_;
 }
 
 size_t Evaluator::MorselSelectDense(const Column& col, RowRange range,
@@ -221,7 +194,7 @@ size_t Evaluator::MorselSelectDense(const Column& col, RowRange range,
   // in row order within its subrange).
   std::vector<std::vector<oid>> frags(nm);
   std::vector<MorselMetrics> mm(nm);
-  EnsureMorselScheduler()->ParallelFor(nm, [&](size_t i, int worker) {
+  morsel_scheduler()->ParallelFor(nm, [&](size_t i, int worker) {
     const Morsel ms = src.morsel(i);
     // Sampled by deterministic morsel index, so the trace never depends on
     // which worker ran the morsel (determinism) and hot loops pay at most
@@ -263,7 +236,7 @@ size_t Evaluator::MorselSelectCandidates(const Column& col, RowRange range,
   std::vector<std::vector<oid>> frags(nm);
   std::vector<uint64_t> accesses(nm, 0);
   std::vector<MorselMetrics> mm(nm);
-  EnsureMorselScheduler()->ParallelFor(nm, [&](size_t i, int worker) {
+  morsel_scheduler()->ParallelFor(nm, [&](size_t i, int worker) {
     const Morsel ms = src.morsel(i);
     const bool tr =
         obs::TraceEnabled() && (i & obs::kMorselSampleMask) == 0;
@@ -339,7 +312,7 @@ Status Evaluator::MorselGather(const Column& col, const std::vector<oid>& ids,
     }
     std::vector<Status> statuses(nm);
     std::vector<MorselMetrics> direct_mm(nm);
-    EnsureMorselScheduler()->ParallelFor(nm, [&](size_t i, int worker) {
+    morsel_scheduler()->ParallelFor(nm, [&](size_t i, int worker) {
       const Morsel ms = src.morsel(i);
       const bool tr =
           obs::TraceEnabled() && (i & obs::kMorselSampleMask) == 0;
@@ -378,7 +351,7 @@ Status Evaluator::MorselGather(const Column& col, const std::vector<oid>& ids,
     f.values.dict = result->values.dict;
   }
   std::vector<MorselMetrics> mm(nm);
-  EnsureMorselScheduler()->ParallelFor(nm, [&](size_t i, int worker) {
+  morsel_scheduler()->ParallelFor(nm, [&](size_t i, int worker) {
     const Morsel ms = src.morsel(i);
     const bool tr =
         obs::TraceEnabled() && (i & obs::kMorselSampleMask) == 0;
@@ -419,7 +392,7 @@ size_t Evaluator::MorselGroupBy(const int64_t* keys, uint64_t n,
                                 Intermediate* result, OpMetrics* m) {
   ParallelAggOptions o;
   o.morsel_rows = MorselRowsForNode(m->node_id);
-  o.scheduler = EnsureMorselScheduler().get();
+  o.scheduler = morsel_scheduler().get();
   std::vector<MorselMetrics> mm;
   const size_t nm = ParallelGroupBy(keys, n, o, &result->group_ids,
                                     &result->group_keys.i64, &mm);
@@ -441,7 +414,7 @@ size_t Evaluator::MorselGroupedAgg(const int64_t* gids, uint64_t n,
   }
   ParallelAggOptions o;
   o.morsel_rows = EffectiveMorselRows();
-  o.scheduler = EnsureMorselScheduler().get();
+  o.scheduler = morsel_scheduler().get();
   o.simd = simd_ops_;
   // No per-morsel metrics here: a morsel's output is a partial over an
   // unknowable share of the ngroups output rows, so per-morsel tuple counts
@@ -456,7 +429,7 @@ size_t Evaluator::MorselSortPerm(const SortKeys& keys, uint64_t n,
                                  std::vector<uint64_t>* perm, OpMetrics* m) {
   ParallelSortOptions o;
   o.morsel_rows = MorselRowsForNode(m->node_id);
-  o.scheduler = EnsureMorselScheduler().get();
+  o.scheduler = morsel_scheduler().get();
   o.limit = limit;
   std::vector<std::vector<uint64_t>> runs;
   std::vector<MorselMetrics> mm;
@@ -501,7 +474,7 @@ size_t Evaluator::MorselJoinProbe(
   };
   std::vector<Frag> frags(nm);
   std::vector<MorselMetrics> mm(nm);
-  EnsureMorselScheduler()->ParallelFor(nm, [&](size_t i, int worker) {
+  morsel_scheduler()->ParallelFor(nm, [&](size_t i, int worker) {
     const Morsel ms = src.morsel(i);
     const bool tr =
         obs::TraceEnabled() && (i & obs::kMorselSampleMask) == 0;
@@ -566,10 +539,6 @@ Status Evaluator::Execute(const QueryPlan& plan, EvalResult* out) {
   std::vector<uint8_t> done(plan.num_nodes(), 0);
   std::vector<OpMetrics> metrics(order.size());
 
-  // Create the morsel scheduler on this thread before nodes fan out to pool
-  // workers; lazy creation inside a worker would race.
-  if (MorselsEnabled()) EnsureMorselScheduler();
-
   {
     std::lock_guard<std::mutex> lock(hash_mu_);
     hash_builds_.clear();
@@ -582,10 +551,7 @@ Status Evaluator::Execute(const QueryPlan& plan, EvalResult* out) {
                            static_cast<int64_t>(order.size()),
                            static_cast<int64_t>(obs::CurrentQueryId()));
   double t0 = NowNs();
-  Status exec_st =
-      options_.num_threads > 1
-          ? ExecuteParallel(plan, order, &slots, &done, &metrics)
-          : ExecuteSerial(plan, order, &slots, &done, &metrics);
+  Status exec_st = RunDag(plan, order, &slots, &done, &metrics);
   // Uncharge every materialized slot (ExecNode charged each completed
   // node's output durable) before slots are moved out — on the error path
   // too, so a failed query cannot leave drift behind.
@@ -630,127 +596,76 @@ Status Evaluator::Execute(const QueryPlan& plan, EvalResult* out) {
   return Status::OK();
 }
 
-Status Evaluator::ExecuteSerial(const QueryPlan& plan,
-                                const std::vector<int>& order,
-                                std::vector<Intermediate>* slots,
-                                std::vector<uint8_t>* done,
-                                std::vector<OpMetrics>* metrics) {
-  ExecContext ctx{slots, done};
-  for (size_t i = 0; i < order.size(); ++i) {
-    int id = order[i];
-    const PlanNode& node = plan.node(id);
-    OpMetrics& m = (*metrics)[i];
-    m.node_id = id;
-    m.kind = node.kind;
-    APQ_RETURN_NOT_OK(ExecNode(plan, node, ctx, &(*slots)[id], &m));
-    (*done)[id] = 1;
-  }
-  return Status::OK();
-}
-
-Status Evaluator::ExecuteParallel(const QueryPlan& plan,
-                                  const std::vector<int>& order,
-                                  std::vector<Intermediate>* slots,
-                                  std::vector<uint8_t>* done,
-                                  std::vector<OpMetrics>* metrics) {
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-
-  const int n = plan.num_nodes();
+Status Evaluator::RunDag(const QueryPlan& plan,
+                         const std::vector<int>& order,
+                         std::vector<Intermediate>* slots,
+                         std::vector<uint8_t>* done,
+                         std::vector<OpMetrics>* metrics) {
   // Dataflow bookkeeping over reachable nodes. Duplicate inputs (e.g. a map
   // of x with itself) contribute one pending count per edge.
+  const int n = plan.num_nodes();
   std::vector<int> topo_pos(n, -1);
-  for (size_t i = 0; i < order.size(); ++i) topo_pos[order[i]] = static_cast<int>(i);
+  for (size_t i = 0; i < order.size(); ++i) {
+    topo_pos[order[i]] = static_cast<int>(i);
+  }
   std::vector<std::vector<int>> consumers(n);
   std::vector<int> pending(n, 0);
+  std::vector<int> wave;
   for (int id : order) {
     for (int in : plan.node(id).inputs) {
       consumers[in].push_back(id);
       ++pending[id];
     }
+    if (pending[id] == 0) wave.push_back(id);
   }
 
-  struct Control {
-    std::mutex mu;
-    std::condition_variable cv;
-    Status error = Status::OK();
-    bool failed = false;
-    size_t remaining = 0;   // reachable nodes not yet completed
-    int in_flight = 0;      // tasks submitted but not finished
-  } ctl;
-  ctl.remaining = order.size();
-
-  ExecContext ctx{slots, done};
-
-  // Pool workers have no query-id scope of their own; carry the submitting
-  // thread's id across so their charges and bills land on the right query.
-  const uint64_t query_id = obs::CurrentQueryId();
-
-  // run_node executes one ready node on a worker, then (under the control
-  // lock) retires it and collects consumers that became ready. All cross-
-  // thread visibility of slots/done flows through ctl.mu: a consumer is only
-  // scheduled after its producers published their slots under the lock.
-  std::function<void(int)> schedule;
-  std::function<void(int)> run_node = [&](int id) {
-    obs::QueryIdScope query_scope(query_id);
-    bool skip;
-    {
-      std::lock_guard<std::mutex> lock(ctl.mu);
-      skip = ctl.failed;
-    }
-    Status st = Status::OK();
-    Intermediate result;
-    OpMetrics m;
-    if (!skip) {
-      const PlanNode& node = plan.node(id);
-      m.node_id = id;
-      m.kind = node.kind;
-      st = ExecNode(plan, node, ctx, &result, &m);
-    }
-    std::vector<int> ready;
-    {
-      std::lock_guard<std::mutex> lock(ctl.mu);
-      --ctl.in_flight;
-      if (!skip && st.ok()) {
-        (*slots)[id] = std::move(result);
-        (*metrics)[topo_pos[id]] = m;
-        (*done)[id] = 1;
-        --ctl.remaining;
-        if (!ctl.failed) {
-          for (int c : consumers[id]) {
-            if (--pending[c] == 0) ready.push_back(c);
-          }
-        }
-      } else if (!skip && !ctl.failed) {
-        ctl.failed = true;
-        ctl.error = st;
-      }
-      ctl.in_flight += static_cast<int>(ready.size());
-      // Notify while holding the lock: the waiter owns ctl's stack frame and
-      // may destroy it the moment it observes the predicate, so an unlocked
-      // notify could touch a dead condition_variable.
-      if ((ctl.remaining == 0 || ctl.failed) && ctl.in_flight == 0) {
-        ctl.cv.notify_all();
-      }
-    }
-    for (int c : ready) schedule(c);
+  const ExecContext ctx{slots, done};
+  auto run_node = [&](int id, Intermediate* out, OpMetrics* m) {
+    const PlanNode& node = plan.node(id);
+    m->node_id = id;
+    m->kind = node.kind;
+    return ExecNode(plan, node, ctx, out, m);
   };
-  schedule = [&](int id) { pool_->Submit([&run_node, id] { run_node(id); }); };
 
-  std::vector<int> roots;
-  for (int id : order) {
-    if (pending[id] == 0) roots.push_back(id);
+  std::vector<Status> statuses;
+  std::vector<int> next;
+  while (!wave.empty()) {
+    if (wave.size() == 1) {
+      const int id = wave[0];
+      APQ_RETURN_NOT_OK(
+          run_node(id, &(*slots)[id], &(*metrics)[topo_pos[id]]));
+      (*done)[id] = 1;
+    } else {
+      // Nodes of one wave only read slots published by earlier waves and
+      // each writes its own slot and metrics entry, so they run concurrently.
+      statuses.assign(wave.size(), Status::OK());
+      morsel_scheduler()->ParallelFor(wave.size(), [&](size_t i, int) {
+        const int id = wave[i];
+        statuses[i] = run_node(id, &(*slots)[id], &(*metrics)[topo_pos[id]]);
+      });
+      const Status* failed = nullptr;
+      for (size_t i = 0; i < wave.size(); ++i) {
+        if (statuses[i].ok()) {
+          (*done)[wave[i]] = 1;
+        } else if (failed == nullptr) {
+          failed = &statuses[i];
+        }
+      }
+      if (failed != nullptr) return *failed;
+    }
+    // The next wave, in topological order (waves list nodes in that order,
+    // so the first failure above is the lowest topological position).
+    next.clear();
+    for (int id : wave) {
+      for (int c : consumers[id]) {
+        if (--pending[c] == 0) next.push_back(c);
+      }
+    }
+    std::sort(next.begin(), next.end(),
+              [&](int a, int b) { return topo_pos[a] < topo_pos[b]; });
+    wave.swap(next);
   }
-  {
-    std::lock_guard<std::mutex> lock(ctl.mu);
-    ctl.in_flight = static_cast<int>(roots.size());
-  }
-  for (int id : roots) schedule(id);
-
-  std::unique_lock<std::mutex> lock(ctl.mu);
-  ctl.cv.wait(lock, [&] {
-    return (ctl.remaining == 0 || ctl.failed) && ctl.in_flight == 0;
-  });
-  return ctl.failed ? ctl.error : Status::OK();
+  return Status::OK();
 }
 
 Status Evaluator::ExecNode(const QueryPlan& plan, const PlanNode& node,
@@ -856,15 +771,12 @@ Status Evaluator::ExecSelect(const PlanNode& node, const ExecContext& ctx,
   if (options_.use_kernels) {
     // Morsel-driven path first: splits the input across the work-stealing
     // scheduler and concatenates per-morsel fragments in input order. Returns
-    // 0 when disabled or when the input fits in a single morsel, in which
-    // case the whole-column kernel below runs (identical output either way).
-    size_t nm = 0;
-    if (MorselsEnabled()) {
-      nm = in ? MorselSelectCandidates(col, range, node.pred, &like_match,
-                                       in->rowids, result, m)
-              : MorselSelectDense(col, range, node.pred, &like_match, result,
-                                  m);
-    }
+    // 0 when the input fits in a single morsel, in which case the
+    // whole-column kernel below runs (identical output either way).
+    const size_t nm =
+        in ? MorselSelectCandidates(col, range, node.pred, &like_match,
+                                    in->rowids, result, m)
+           : MorselSelectDense(col, range, node.pred, &like_match, result, m);
     if (nm == 0) {
       if (in) {
         SelectCandidates(col, range, node.pred, &like_match, in->rowids,
@@ -942,10 +854,8 @@ Status Evaluator::ExecFetchJoin(const PlanNode& node, const ExecContext& ctx,
   bool sliced = node.has_slice;
   if (options_.use_kernels) {
     bool morsels_ran = false;
-    if (MorselsEnabled()) {
-      APQ_RETURN_NOT_OK(MorselGather(col, *ids, range, sliced, node.align,
-                                     result, m, &morsels_ran));
-    }
+    APQ_RETURN_NOT_OK(MorselGather(col, *ids, range, sliced, node.align,
+                                   result, m, &morsels_ran));
     if (!morsels_ran) {
       APQ_RETURN_NOT_OK(GatherRows(col, *ids, range, sliced, node.align,
                                    &result->head, &result->values, simd_ops_));
@@ -999,7 +909,7 @@ Status Evaluator::ExecJoin(const PlanNode& node, const ExecContext& ctx,
   // Each input shape defines its probe loop once, as a span over input
   // positions [b, e): the morsel-parallel tier (exec/agg) runs it per morsel
   // into ordered pair fragments, and when that declines (input fits one
-  // morsel, or the tier is off) the same span runs sequentially over the
+  // morsel, or the scalar interpreter runs) the same span runs over the
   // whole input into the result vectors. One loop body per shape — the
   // parallel and sequential paths cannot diverge.
   auto run_probe = [&](uint64_t n,
@@ -1007,7 +917,7 @@ Status Evaluator::ExecJoin(const PlanNode& node, const ExecContext& ctx,
                                                 std::vector<oid>*,
                                                 std::vector<oid>*)>& span) {
     size_t nm = 0;
-    if (ParallelAggEnabled()) nm = MorselJoinProbe(n, span, result, m);
+    if (options_.use_kernels) nm = MorselJoinProbe(n, span, result, m);
     if (nm == 0) {
       result->rowids.reserve(n);
       result->rrowids.reserve(n);
@@ -1114,7 +1024,7 @@ Status Evaluator::ExecGroupBy(const PlanNode& node, const ExecContext& ctx,
     // Parallel ingest (exec/agg tier) needs contiguous int64 keys; f64 group
     // keys (rare — AsInt truncation per row) stay sequential.
     size_t nm = 0;
-    if (ParallelAggEnabled() && !in->values.is_f64()) {
+    if (options_.use_kernels && !in->values.is_f64()) {
       nm = MorselGroupBy(in->values.i64.data(), n, result, m);
     }
     if (nm == 0) {
@@ -1128,7 +1038,7 @@ Status Evaluator::ExecGroupBy(const PlanNode& node, const ExecContext& ctx,
     result->origin = range;
     m->tuples_in = range.size();
     size_t nm = 0;
-    if (ParallelAggEnabled()) {
+    if (options_.use_kernels) {
       nm = MorselGroupBy(col.i64().data() + range.begin, range.size(), result,
                          m);
     }
@@ -1178,12 +1088,14 @@ Status Evaluator::ExecAggregate(const PlanNode& node, const ExecContext& ctx,
     result->agg_vals.assign(ngroups, init);
     uint64_t n = first->group_ids.size();
     m->tuples_in = n;
-    // Parallel grouped aggregation (exec/agg tier): per-morsel partial
+    // Parallel grouped aggregation (exec/agg tier): per-block partial
     // tables merged over group-id ranges. COUNT/MIN/MAX and all counts are
-    // bit-identical to the loop below; SUM/AVG merge partial sums in morsel
-    // order (deterministic, last-bit reassociation vs the sequential fold).
+    // bit-identical to the loop below; SUM/AVG merge partial sums at fixed
+    // kAggFoldRows blocks (deterministic at any morsel size, last-bit
+    // reassociation vs the sequential fold, which an input of one block
+    // reproduces exactly).
     size_t nm = 0;
-    if (ParallelAggEnabled() && ngroups > 0) {
+    if (options_.use_kernels && ngroups > 0) {
       nm = MorselGroupedAgg(first->group_ids.data(), n,
                             vals ? &vals->values : nullptr, node.agg_fn,
                             ngroups, result);
@@ -1610,7 +1522,7 @@ Status Evaluator::ExecSort(const PlanNode& node, const ExecContext& ctx,
   }
 
   // One permutation routine for every input shape: the parallel sort tier
-  // (exec/sort/) when morsels are on and the input splits, the sequential
+  // (exec/sort/) when the kernels run and the input splits, the sequential
   // shared-comparator sort otherwise. Both emit the unique (value, position)
   // order — std::stable_sort's permutation — so the gather loops below
   // cannot observe which one ran.
@@ -1621,7 +1533,7 @@ Status Evaluator::ExecSort(const PlanNode& node, const ExecContext& ctx,
             ? node.limit
             : 0;
     size_t nm = 0;
-    if (ParallelSortEnabled()) {
+    if (options_.use_kernels) {
       nm = MorselSortPerm(keys, n, node.descending, limit, perm, m);
     }
     if (nm == 0) SortPermSequential(keys, n, node.descending, limit, perm);

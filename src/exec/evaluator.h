@@ -4,8 +4,10 @@
 // Results are always exact regardless of how the plan was parallelized. Two
 // timings exist for a run: the virtual-time simulator (src/sched/simulator.h)
 // converts the metrics gathered here into the paper machine's time, and the
-// evaluator itself can execute independent plan nodes (exchange clone
-// subtrees) concurrently on a real thread pool for hardware wall-clock truth.
+// evaluator's own wall clock is hardware truth. There is one execution path
+// on one worker fleet (sched/morsel_scheduler.h): the DAG runner executes each
+// wave of ready nodes (e.g. exchange clone subtrees) concurrently, and every
+// operator whose input spans more than one morsel splits into morsel tasks.
 //
 // The hot path is vectorized: selects and fetch-joins run through the batch
 // kernels in exec/kernels.h (selection vectors, branch-hoisted tight loops).
@@ -31,7 +33,6 @@
 #include "obs/trace.h"
 #include "plan/plan.h"
 #include "sched/morsel_scheduler.h"
-#include "sched/thread_pool.h"
 #include "util/status.h"
 
 namespace apq {
@@ -63,7 +64,7 @@ struct EvalResult {
   /// Intermediates of reachable nodes, indexed by node id.
   std::unordered_map<int, Intermediate> intermediates;
   /// Per-node workload metrics, in topological order of execution
-  /// (deterministic: identical for serial and threaded execution).
+  /// (deterministic: identical at every worker count).
   std::vector<OpMetrics> metrics;
   /// The intermediate feeding the result node.
   Intermediate result;
@@ -73,44 +74,18 @@ struct EvalResult {
 
 /// \brief Execution backend configuration.
 struct ExecOptions {
-  /// Use the vectorized selection-vector kernels (exec/kernels.h). When
-  /// false, the original scalar row-at-a-time interpreter runs instead.
+  /// Use the vectorized selection-vector kernels (exec/kernels.h), morsel
+  /// tasks included. When false, the original scalar row-at-a-time
+  /// interpreter runs instead: the differential oracle, never morselized.
   bool use_kernels = true;
-  /// Worker threads for plan-node execution. 1 = serial (in the calling
-  /// thread); >1 = independent nodes (exchange clone subtrees) run
-  /// concurrently on a shared thread pool. 0 = one per hardware thread.
-  int num_threads = 1;
-  /// Morsel-driven intra-operator execution: dense selects, candidate
-  /// selects, and fetch-join gathers are split into fixed-size morsels and
-  /// executed on a work-stealing scheduler (sched/morsel_scheduler.h), then
-  /// concatenated in morsel order — bit-identical to whole-column kernels.
-  /// Requires use_kernels; the scalar interpreter is never morselized.
-  /// The APQ_FORCE_MORSELS=1 environment variable overrides this to true.
-  bool use_morsels = false;
-  /// Rows per morsel (0 = kDefaultMorselRows).
+  /// Rows per morsel (0 = kDefaultMorselRows). An operator whose input fits
+  /// in one morsel runs whole-column on its node's thread; larger inputs
+  /// split into morsels, run on the scheduler and concatenate in morsel
+  /// order — bit-identical to the whole-column kernels. Grouped SUM/AVG fold
+  /// at fixed kAggFoldRows blocks, so no result depends on this value. The
+  /// APQ_FORCE_MORSELS=<rows> environment variable overrides it, and the
+  /// adaptive loop may shrink it per node (SetAdaptiveMorselRows).
   uint64_t morsel_rows = kDefaultMorselRows;
-  /// Workers of a lazily created morsel scheduler (0 = one per hardware
-  /// thread). Ignored when a shared scheduler is injected via
-  /// set_morsel_scheduler (the multi-query configuration).
-  int morsel_workers = 0;
-  /// Morsel-parallel aggregation and hash-join probe (exec/agg/): group-by
-  /// ingest runs through thread-local AggTables with a partitioned merge
-  /// (group ids renumbered to the scalar first-occurrence order), grouped
-  /// aggregation through per-morsel partials merged by group-id range, and
-  /// the join probe produces ordered pair fragments. Only active when
-  /// morsels are enabled (use_morsels / APQ_FORCE_MORSELS); flip this off to
-  /// keep selects/gathers morselized while aggregation and probe stay
-  /// whole-column.
-  bool use_parallel_agg = true;
-  /// Morsel-parallel sort (exec/sort/): kSort/kTopN inputs are sorted into
-  /// morsel-local stable runs combined by a merge-path-partitioned
-  /// loser-tree k-way merge — every comparison keyed by (value, original
-  /// position), so the permutation is bit-identical to the scalar stable
-  /// sort at any morsel size, worker count, or steal order. Bounded top-N
-  /// keeps a limit-sized selection per run and merges only runs x limit
-  /// candidates. Only active when morsels are enabled (use_morsels /
-  /// APQ_FORCE_MORSELS, which forces this tier on too).
-  bool use_parallel_sort = true;
   /// SIMD dispatch tier for the vectorized kernels: kAuto resolves to the
   /// best level the CPU supports (cpuid probe), lower levels pin the tier
   /// (for differential testing). The APQ_SIMD environment variable
@@ -125,13 +100,6 @@ struct ExecOptions {
   /// Chrome-trace export. Tracing never changes results — only timings are
   /// observed — and costs one branch per span site when off.
   bool trace = false;
-  /// Honor per-node morsel-size overrides injected between runs via
-  /// SetAdaptiveMorselRows: the adaptive loop shrinks the morsel size of
-  /// operators whose previous run showed high intra-operator skew, so
-  /// work-stealing rebalances within the operator (more, smaller tasks)
-  /// before the mutator has even re-partitioned it. Results stay
-  /// bit-identical at any morsel size; this only changes task granularity.
-  bool adaptive_morsel_rows = true;
 };
 
 /// Registers the apq_build_info metric (constant 1, labeled with the
@@ -148,21 +116,15 @@ void RegisterBuildInfo(simd::SimdLevel level);
 class Evaluator {
  public:
   Evaluator() = default;
-  explicit Evaluator(ExecOptions options) { set_options(options); }
+  /// `sched` is the (possibly shared) worker fleet to run on; null =
+  /// MorselScheduler::Shared().
+  explicit Evaluator(ExecOptions options,
+                     std::shared_ptr<MorselScheduler> sched = nullptr)
+      : morsel_sched_(std::move(sched)) {
+    set_options(options);
+  }
 
   void set_options(ExecOptions options) {
-    if (options.num_threads == 0) {
-      options.num_threads = ThreadPool::DefaultThreads();
-    }
-    if (options.num_threads < 1) options.num_threads = 1;
-    if (options_.num_threads != options.num_threads) pool_.reset();
-    // A lazily created scheduler is rebuilt at the new worker count; an
-    // injected (shared) scheduler is never dropped by an options change.
-    if (options_.morsel_workers != options.morsel_workers &&
-        morsel_sched_owned_) {
-      morsel_sched_.reset();
-      morsel_sched_owned_ = false;
-    }
     options_ = options;
     // Resolved once per options change, not per kernel call: env override >
     // requested level > cpuid probe. Scalar tier = all-null table = the
@@ -181,11 +143,6 @@ class Evaluator {
   }
   const ExecOptions& options() const { return options_; }
   void set_use_kernels(bool on) { options_.use_kernels = on; }
-  void set_num_threads(int n) {
-    ExecOptions o = options_;
-    o.num_threads = n;
-    set_options(o);
-  }
 
   /// Executes `plan`; on success fills `out`.
   Status Execute(const QueryPlan& plan, EvalResult* out);
@@ -203,41 +160,20 @@ class Evaluator {
     hash_cache_.clear();
   }
 
-  /// Injects a (possibly shared) morsel scheduler. Concurrent queries that
-  /// share one scheduler multiplex one worker fleet instead of spawning a
-  /// pool per query; Engine wires its scheduler through here.
-  void set_morsel_scheduler(std::shared_ptr<MorselScheduler> sched) {
-    morsel_sched_ = std::move(sched);
-    morsel_sched_owned_ = false;
-  }
+  /// The fleet this evaluator runs on: the scheduler given to the
+  /// constructor, else the process-wide MorselScheduler::Shared(). Never
+  /// null. Concurrent queries that share one scheduler multiplex one fleet.
   const std::shared_ptr<MorselScheduler>& morsel_scheduler() const {
-    return morsel_sched_;
+    return morsel_sched_ ? morsel_sched_ : MorselScheduler::Shared();
   }
-  /// Returns the morsel scheduler, creating one (options().morsel_workers
-  /// workers) if none was injected.
-  const std::shared_ptr<MorselScheduler>& EnsureMorselScheduler();
-
-  /// True when morsel-driven execution applies: use_morsels (or the
-  /// APQ_FORCE_MORSELS=1 environment override) and the vectorized kernels.
-  bool MorselsEnabled() const;
-
-  /// True when the parallel aggregation/probe tier applies: morsels enabled
-  /// and use_parallel_agg (APQ_FORCE_MORSELS forces this tier on too, so a
-  /// forced CI run exercises every morselized operator).
-  bool ParallelAggEnabled() const;
-
-  /// True when the parallel sort tier applies: morsels enabled and
-  /// use_parallel_sort (APQ_FORCE_MORSELS forces this tier on too).
-  bool ParallelSortEnabled() const;
 
   /// Rows per morsel actually used: options().morsel_rows, unless
-  /// APQ_FORCE_MORSELS carries an explicit row count (e.g. =4096).
+  /// APQ_FORCE_MORSELS carries a row count (e.g. =512).
   uint64_t EffectiveMorselRows() const;
 
-  /// The validated APQ_FORCE_MORSELS value: 0 = unset/off/rejected, 1 = on
-  /// with the configured size, >1 = forced rows per morsel. Exposed so tests
-  /// reason about the forced size with the evaluator's own parsing instead
-  /// of re-implementing it.
+  /// The validated APQ_FORCE_MORSELS value: 0 = unset/rejected, else the
+  /// forced rows per morsel. Exposed so tests reason about the forced size
+  /// with the evaluator's own parsing instead of re-implementing it.
   static uint64_t ForcedEnvMorselRows();
 
   /// The SIMD dispatch table this evaluator's kernels run with (after the
@@ -245,8 +181,7 @@ class Evaluator {
   const simd::SimdOps* simd_ops() const { return simd_ops_; }
 
   /// Rows per morsel for one specific plan node: the adaptive override when
-  /// one was injected (and options().adaptive_morsel_rows is on), otherwise
-  /// EffectiveMorselRows().
+  /// one was injected, otherwise EffectiveMorselRows().
   uint64_t MorselRowsForNode(int node_id) const;
 
   /// Injects per-node morsel-size overrides for subsequent Execute() calls
@@ -263,21 +198,22 @@ class Evaluator {
 
  private:
   /// Read view over per-node result slots during one execution. A node id is
-  /// readable iff done[id] is set, which the schedulers guarantee for every
+  /// readable iff done[id] is set, which the DAG runner guarantees for every
   /// input before a node runs.
   struct ExecContext {
     const std::vector<Intermediate>* slots = nullptr;
     const std::vector<uint8_t>* done = nullptr;
   };
 
-  Status ExecuteSerial(const QueryPlan& plan, const std::vector<int>& order,
-                       std::vector<Intermediate>* slots,
-                       std::vector<uint8_t>* done,
-                       std::vector<OpMetrics>* metrics);
-  Status ExecuteParallel(const QueryPlan& plan, const std::vector<int>& order,
-                         std::vector<Intermediate>* slots,
-                         std::vector<uint8_t>* done,
-                         std::vector<OpMetrics>* metrics);
+  /// Runs the plan DAG in waves: every node whose inputs are done runs
+  /// next, one-node waves inline on the calling thread, wider waves as one
+  /// ParallelFor (the caller taking part). Outputs and metrics land at their
+  /// topological positions. On failure the wave's successful outputs are
+  /// still published (the caller's uncharge sweep needs them) and the error
+  /// of the failing node with the lowest topological position is returned.
+  Status RunDag(const QueryPlan& plan, const std::vector<int>& order,
+                std::vector<Intermediate>* slots, std::vector<uint8_t>* done,
+                std::vector<OpMetrics>* metrics);
 
   Status ExecNode(const QueryPlan& plan, const PlanNode& node,
                   const ExecContext& ctx, Intermediate* result, OpMetrics* m);
@@ -363,9 +299,7 @@ class Evaluator {
   /// Active SIMD dispatch table (see set_options). The default matches the
   /// default ExecOptions: auto-resolved.
   const simd::SimdOps* simd_ops_ = &simd::Resolve(simd::SimdLevel::kAuto);
-  std::unique_ptr<ThreadPool> pool_;  // lazily created when num_threads > 1
-  std::shared_ptr<MorselScheduler> morsel_sched_;  // injected or lazy
-  bool morsel_sched_owned_ = false;   // true iff lazily created (not injected)
+  std::shared_ptr<MorselScheduler> morsel_sched_;  // injected; null = Shared()
   /// Per-node morsel-size overrides for the next Execute (adaptive skew
   /// response); read-only during execution.
   std::unordered_map<int, uint64_t> adaptive_rows_;
@@ -383,8 +317,8 @@ class Evaluator {
   std::unordered_map<const Column*, std::shared_ptr<HashSlot>> hash_cache_;
   /// Hash builds performed during the current Execute. Build cost is
   /// attributed after the run to the topologically-first join over the built
-  /// column, so hash_build_rows in the metrics is identical for serial and
-  /// threaded execution (under threads, any clone may race to build first).
+  /// column, so hash_build_rows in the metrics is identical at every worker
+  /// count (concurrent clones may race to build first).
   std::vector<std::pair<const Column*, uint64_t>> hash_builds_;
 };
 

@@ -7,7 +7,6 @@
 #include "obs/query_log.h"
 #include "obs/resource_tracker.h"
 #include "obs/trace.h"
-#include "sched/thread_pool.h"
 #include "util/hash_clock.h"
 
 namespace apq {
@@ -22,6 +21,13 @@ std::vector<const MorselScheduler*>& SchedRegistry() {
   static auto* v = new std::vector<const MorselScheduler*>();
   return *v;
 }
+
+// Set by ParallelFor and read by the RunTask frame around it: a task that
+// submitted a job of its own is a container (a plan-node task whose operator
+// split into morsels). The inner tasks are counted; the container is not, so
+// busy time never includes time spent waiting for inner stragglers, nor the
+// inner tasks a second time.
+thread_local bool t_submitted = false;
 
 }  // namespace
 
@@ -41,7 +47,10 @@ struct MorselScheduler::Job {
 };
 
 MorselScheduler::MorselScheduler(int num_workers) {
-  if (num_workers <= 0) num_workers = ThreadPool::DefaultThreads();
+  if (num_workers <= 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    num_workers = hw == 0 ? 1 : static_cast<int>(hw);
+  }
   start_ns_ = NowNs();
   slots_.reserve(num_workers);
   for (int i = 0; i < num_workers; ++i) {
@@ -97,8 +106,10 @@ MorselScheduler::~MorselScheduler() {
   }
 }
 
-double MorselScheduler::RunTask(const Task& t, int worker) {
+void MorselScheduler::RunTask(const Task& t, int worker, bool stolen) {
   Job* job = t.job;
+  const bool outer_submitted = t_submitted;
+  t_submitted = false;
   const double t0 = NowNs();
   {
     // Reproduce the submitting thread's accounting context: charges and
@@ -109,9 +120,37 @@ double MorselScheduler::RunTask(const Task& t, int worker) {
     (*job->fn)(t.index, worker);
   }
   const double t1 = NowNs();
-  if (obs::AccountingEnabled() && job->query_id != 0) {
+  const bool container = t_submitted;
+  t_submitted = outer_submitted;
+  // Only jobs submitted inside an operator bill (op_acct is set while
+  // accounting is on). The DAG runner's node waves are submitted outside
+  // any operator: a node bills its own morsel tasks, or its wall time when
+  // it ran whole-column.
+  if (job->op_acct != nullptr && job->query_id != 0) {
     obs::BillTask(job->query_id, job->op_acct, t1 - t0,
                   t0 - job->submit_ns);
+  }
+  // Count before the decrement below, so every task is counted by the time
+  // its ParallelFor returns.
+  if (!container) {
+    const auto busy = static_cast<uint64_t>(t1 - t0);
+    m_tasks_->Inc();
+    if (worker == kCallerWorker) {
+      caller_tasks_.fetch_add(1);
+      caller_busy_ns_.fetch_add(busy);
+      m_caller_tasks_->Inc();
+    } else {
+      WorkerSlot& s = *slots_[worker];
+      s.tasks.fetch_add(1);
+      s.busy_ns.fetch_add(busy);
+      m_worker_tasks_[worker]->Inc();
+      m_worker_busy_[worker]->Inc(busy);
+      if (stolen) {
+        s.steals.fetch_add(1);
+        m_steals_->Inc();
+        m_worker_steals_[worker]->Inc();
+      }
+    }
   }
   // Decrement *under the job lock*: the ParallelFor waiter re-checks
   // `remaining` under this same lock and destroys the stack-allocated Job the
@@ -119,7 +158,6 @@ double MorselScheduler::RunTask(const Task& t, int worker) {
   // thread has yet to take (or still holds) the mutex.
   std::lock_guard<std::mutex> lock(job->mu);
   if (job->remaining.fetch_sub(1) == 1) job->done_cv.notify_all();
-  return t1 - t0;
 }
 
 bool MorselScheduler::PopOwn(int w, Task* out) {
@@ -174,12 +212,7 @@ void MorselScheduler::WorkerLoop(int w) {
   for (;;) {
     Task t;
     if (PopOwn(w, &t)) {
-      slots_[w]->tasks.fetch_add(1);
-      m_tasks_->Inc();
-      m_worker_tasks_[w]->Inc();
-      const double busy = RunTask(t, w);
-      slots_[w]->busy_ns.fetch_add(static_cast<uint64_t>(busy));
-      m_worker_busy_[w]->Inc(static_cast<uint64_t>(busy));
+      RunTask(t, w, /*stolen=*/false);
       continue;
     }
     // The steal path is off the hot path (own deque dry), so it can afford a
@@ -187,22 +220,22 @@ void MorselScheduler::WorkerLoop(int w) {
     const double steal_t0 = NowNs();
     int victim = -1;
     if (StealAny(w, &t, &victim)) {
-      slots_[w]->tasks.fetch_add(1);
-      slots_[w]->steals.fetch_add(1);
-      m_tasks_->Inc();
-      m_worker_tasks_[w]->Inc();
-      m_steals_->Inc();
-      m_worker_steals_[w]->Inc();
       m_steal_latency_->Observe(NowNs() - steal_t0);
       obs::EmitInstant(obs::SpanKind::kSteal, "steal", w, victim);
-      const double busy = RunTask(t, w);
-      slots_[w]->busy_ns.fetch_add(static_cast<uint64_t>(busy));
-      m_worker_busy_[w]->Inc(static_cast<uint64_t>(busy));
+      RunTask(t, w, /*stolen=*/true);
       continue;
     }
-    // Own deque dry AND every victim dry: this worker is about to go idle.
+    // Own deque dry AND every victim dry. The next wave of a running query
+    // usually follows within microseconds: poll before going to sleep.
     slots_[w]->steal_fails.fetch_add(1);
     m_steal_fails_->Inc();
+    {
+      const double spin_until = NowNs() + kSpinBeforeSleepNs;
+      while (pending_.load() == 0 && NowNs() < spin_until) {
+        std::this_thread::yield();
+      }
+      if (pending_.load() > 0) continue;
+    }
     std::unique_lock<std::mutex> lock(idle_mu_);
     idle_cv_.wait(lock, [this] { return stop_ || pending_.load() > 0; });
     if (stop_) return;  // all ParallelFor calls returned: nothing pending
@@ -212,6 +245,7 @@ void MorselScheduler::WorkerLoop(int w) {
 void MorselScheduler::ParallelFor(size_t num_tasks,
                                   const std::function<void(size_t, int)>& fn) {
   if (num_tasks == 0) return;
+  t_submitted = true;
   Job job;
   job.fn = &fn;
   job.remaining.store(num_tasks);
@@ -247,11 +281,14 @@ void MorselScheduler::ParallelFor(size_t num_tasks,
   // in-flight stragglers running on workers.
   Task t;
   while (job.remaining.load() > 0 && PopForJob(&job, &t)) {
-    caller_tasks_.fetch_add(1);
-    m_tasks_->Inc();
-    m_caller_tasks_->Inc();
-    const double busy = RunTask(t, kCallerWorker);
-    caller_busy_ns_.fetch_add(static_cast<uint64_t>(busy));
+    RunTask(t, kCallerWorker, /*stolen=*/false);
+  }
+  // Stragglers are tasks already running on workers: poll for them briefly.
+  // The locked wait below still runs, so the Job outlives the last
+  // RunTask's unlock either way.
+  const double spin_until = NowNs() + kSpinBeforeSleepNs;
+  while (job.remaining.load() > 0 && NowNs() < spin_until) {
+    std::this_thread::yield();
   }
   std::unique_lock<std::mutex> lock(job.mu);
   job.done_cv.wait(lock, [&job] { return job.remaining.load() == 0; });

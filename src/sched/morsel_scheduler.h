@@ -1,26 +1,31 @@
-// Morsel-driven intra-operator execution: a work-stealing task scheduler.
+// The engine's one worker fleet: a work-stealing task scheduler.
 //
-// The thread pool (thread_pool.h) exploits *inter-node* dataflow parallelism:
-// independent plan nodes (exchange clone subtrees) run concurrently, but one
-// dense scan still occupies one core. This scheduler supplies the missing
-// *intra-operator* axis, HyPer-style: an operator's input is split into
-// fixed-size morsels (~64K rows, see exec/morsel_source.h), each morsel is an
-// independent task producing a thread-local result fragment, and fragments
-// are concatenated in morsel order so results stay bit-identical to serial
-// whole-column execution.
+// It runs both axes of parallelism. The evaluator's DAG runner hands each
+// wave of ready plan nodes (e.g. the independent exchange-union clones of a
+// mutated plan) to ParallelFor, and each operator splits its input into
+// fixed-size morsels (~64K rows, see exec/morsel_source.h) that run as the
+// tasks of a nested ParallelFor, HyPer-style. Morsels produce thread-local
+// result fragments that are concatenated in morsel order, so results stay
+// bit-identical to serial whole-column execution.
 //
 // Scheduling is work-stealing over per-worker deques: a ParallelFor call
-// distributes its morsels in contiguous blocks across the workers' deques,
+// distributes its tasks in contiguous blocks across the workers' deques,
 // each worker pops its own deque LIFO (the block it was dealt, cache-warm)
 // and steals FIFO from a victim when its own deque runs dry (cold end of the
 // victim's block, classic Chase-Lev discipline with a small mutex per deque —
 // morsel tasks are tens of microseconds, so lock cost is noise).
 //
-// The scheduler is *shared*: many queries (and many node-pool workers inside
-// one query) may call ParallelFor concurrently; their morsels interleave on
-// one worker fleet instead of each query spawning its own pool. The calling
-// thread participates in its own job until no unclaimed morsels of that job
-// remain, so a query never fully blocks behind another query's backlog.
+// The scheduler is *shared*: many queries may call ParallelFor concurrently;
+// their tasks interleave on one worker fleet instead of each query spawning
+// its own pool. The calling thread participates in its own job until no
+// unclaimed tasks of that job remain, so a query never fully blocks behind
+// another query's backlog.
+//
+// One level of nesting is allowed: a task may itself call ParallelFor (a
+// plan-node task splitting its operator into morsels), but the tasks of that
+// inner job must not. This cannot deadlock: the thread that submits an inner
+// job drains every unclaimed task of that job itself, and an inner task
+// never waits on anything, so every claimed task finishes.
 #ifndef APQ_SCHED_MORSEL_SCHEDULER_H_
 #define APQ_SCHED_MORSEL_SCHEDULER_H_
 
@@ -42,10 +47,10 @@ namespace apq {
 /// \brief What one scheduler worker has done over its lifetime (observability
 /// for benches and the concurrent-workload example; read when quiescent).
 struct MorselWorkerStats {
-  uint64_t tasks = 0;   ///< morsel tasks this worker executed
+  uint64_t tasks = 0;   ///< tasks this worker executed (not containers)
   uint64_t steals = 0;  ///< of those, taken from another worker's deque
   uint64_t steal_fails = 0;  ///< own deque dry AND nothing to steal (went idle)
-  uint64_t busy_ns = 0;      ///< wall time spent executing tasks
+  uint64_t busy_ns = 0;      ///< wall time spent executing counted tasks
 };
 
 /// \brief One flight-recorder sample: a periodic snapshot of scheduler
@@ -61,8 +66,9 @@ struct MorselFlightSample {
 /// \brief Work-stealing morsel scheduler with per-worker deques.
 ///
 /// Thread-safe: ParallelFor may be called from any number of threads
-/// concurrently (multi-query sharing). Tasks must not call ParallelFor on the
-/// same scheduler (no nesting; the evaluator never does).
+/// concurrently (multi-query sharing). A task may call ParallelFor on the
+/// same scheduler once (node task -> morsel tasks); tasks of that inner job
+/// must not call it again.
 class MorselScheduler {
  public:
   /// Spawns `num_workers` workers; 0 = one per hardware thread.
@@ -81,6 +87,12 @@ class MorselScheduler {
   /// is the executing worker id, or kCallerWorker when the submitting thread
   /// ran the task itself. Task order is unspecified; callers must make
   /// results order-independent (index into a fragment array).
+  ///
+  /// Tasks submitted inside an operator (obs::CurrentOpAcct() set) bill
+  /// their duration and queue wait to that query and operator
+  /// (obs/resource_tracker.h). A task that itself calls ParallelFor is a
+  /// container: its inner tasks are counted in the task and busy counters
+  /// below, the container is not.
   void ParallelFor(size_t num_tasks,
                    const std::function<void(size_t, int)>& fn);
 
@@ -92,7 +104,7 @@ class MorselScheduler {
   std::vector<MorselWorkerStats> worker_stats() const;
   uint64_t caller_tasks() const { return caller_tasks_.load(); }
   uint64_t caller_busy_ns() const { return caller_busy_ns_.load(); }
-  /// Total morsel tasks completed (workers + callers).
+  /// Total tasks completed (workers + callers; containers not counted).
   uint64_t total_tasks() const;
   /// Submitted-but-unclaimed tasks right now (a live fleet-pressure signal;
   /// the query service reports it in /debug/service).
@@ -139,9 +151,9 @@ class MorselScheduler {
   bool StealAny(int w, Task* out, int* victim = nullptr);
   bool PopForJob(Job* job, Task* out);
   /// Runs the task (with the owning query's id + operator block installed),
-  /// bills its duration/queue-wait, and returns the execution time in ns so
-  /// the claiming side can accumulate busy time.
-  static double RunTask(const Task& t, int worker);
+  /// bills its duration/queue-wait and counts it on `worker` (a worker id or
+  /// kCallerWorker); `stolen` counts a steal too.
+  void RunTask(const Task& t, int worker, bool stolen);
   void MaybeSampleFlight();
 
   std::vector<std::unique_ptr<WorkerSlot>> slots_;
@@ -155,6 +167,12 @@ class MorselScheduler {
   // ParallelFor (rate-limited via flight_last_ns_ CAS) and copied whole by
   // DebugJson. Sized for ~6s of history at the 50ms cadence.
   static constexpr size_t kFlightCapacity = 128;
+  // How long a thread polls before it blocks: ParallelFor for straggler
+  // tasks, an idle worker for the next job. Node waves and morsel tasks are
+  // tens of microseconds, about the cost of a futex sleep/wake round trip;
+  // without the polls, TPC-DS plans over 80k rows ran about 8% slower on a
+  // 4-vCPU host.
+  static constexpr double kSpinBeforeSleepNs = 50e3;
   static constexpr double kFlightIntervalNs = 50e6;
   mutable std::mutex flight_mu_;
   std::deque<MorselFlightSample> flight_;

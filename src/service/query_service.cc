@@ -394,7 +394,6 @@ void QueryService::ExecutorLoop() {
   // One engine per executor, all multiplexing the one shared fleet. The sim
   // config is irrelevant to served queries; wall_ns is hardware truth.
   EngineConfig cfg;
-  cfg.use_morsels = true;
   cfg.morsel_scheduler = scheduler_;
   if (config_.morsel_rows > 0) cfg.morsel_rows = config_.morsel_rows;
   Engine engine(cfg);
@@ -422,8 +421,10 @@ void QueryService::Execute(Engine& engine, const Pending& p,
   // grant over the morsel fleet, applied as a morsel-size multiplier —
   // `active` times larger morsels means this query's operator splits into
   // ~1/active as many tasks, so it can occupy at most its granted share of
-  // the workers. Morsel size never changes results (the house invariant),
-  // so degradation is invisible to correctness.
+  // the workers. Morsel size never changes results (the house invariant;
+  // grouped SUM/AVG fold at fixed blocks), so degradation is invisible to
+  // correctness. A wave of independent plan nodes still runs its nodes
+  // side by side on the same fleet; the grant only coarsens their morsels.
   const int fleet = fleet_workers();
   int granted = fleet;
   if (config_.degrade_workers) {

@@ -68,7 +68,8 @@ struct ServiceConfig {
   /// APQ_SERVICE_QUEUE_DEPTH overrides (0 = shed whenever all executors are
   /// busy).
   std::size_t max_queue_depth = kDefaultMaxQueueDepth;
-  /// Workers of the shared morsel fleet (0 = one per hardware thread).
+  /// Workers of the one fleet all executors share (0 = one per hardware
+  /// thread).
   int morsel_workers = 0;
   /// Base rows per morsel for admitted queries.
   uint64_t morsel_rows = 0;  // 0 = kDefaultMorselRows

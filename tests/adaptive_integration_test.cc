@@ -198,7 +198,7 @@ TEST(VectorwiseSimTest, RunsAndPreservesResult) {
 /// parse, so rejected values (non-numeric, absurd) never cause a skip.
 bool ForcedMorselSizeMisaligned() {
   const uint64_t forced = Evaluator::ForcedEnvMorselRows();
-  if (forced <= 1) return false;  // off, or configured size kept
+  if (forced == 0) return false;  // unset: the configured size is kept
   return 40960 % forced != 0;
 }
 
@@ -225,9 +225,8 @@ TEST(SkewFeedbackTest, RepartitioningHalvesConvergedSkewWithIdenticalResults) {
 
   auto run = [&](double skew_threshold, int workers) {
     EngineConfig ecfg = EngineConfig::WithSim(SimConfig::Cores(4, 4));
-    ecfg.use_morsels = true;
     ecfg.morsel_rows = 2048;
-    ecfg.morsel_workers = workers;
+    ecfg.morsel_scheduler = std::make_shared<MorselScheduler>(workers);
     ecfg.verify_results = true;  // every run checked against the serial plan
     ecfg.mutator.skew_threshold = skew_threshold;
     Engine engine(ecfg);

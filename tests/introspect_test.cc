@@ -540,9 +540,8 @@ TEST_F(IntrospectEngineTest, ResultsBitIdenticalWithExporterOnVsOff) {
 
   for (int workers : {1, 2, 4, 8}) {
     EngineConfig cfg = SmallConfig();
-    cfg.use_morsels = true;
     cfg.morsel_rows = 512;
-    cfg.morsel_workers = workers;
+    cfg.morsel_scheduler = std::make_shared<MorselScheduler>(workers);
 
     Engine off_engine(cfg);
     auto off = off_engine.RunSerial(q6.ValueOrDie());

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "exec/compare.h"
@@ -13,6 +14,7 @@
 #include "exec/morsel_source.h"
 #include "plan/builder.h"
 #include "sched/morsel_scheduler.h"
+#include "util/hash_clock.h"
 #include "util/rng.h"
 #include "workload/tpch.h"
 
@@ -112,6 +114,69 @@ TEST(MorselSchedulerTest, ConcurrentJobsShareOneFleet) {
   EXPECT_EQ(sched.total_tasks(), static_cast<uint64_t>(kJobs) * kTasks);
 }
 
+TEST(MorselSchedulerTest, NestedParallelForRunsEveryIndexOnce) {
+  // One level of nesting, the DAG runner's shape: outer tasks (plan nodes)
+  // may issue their own ParallelFor (their morsels) on the same fleet. Every
+  // outer and inner index must run exactly once and the fleet must not
+  // deadlock even with one worker. Inner tasks and the outer tasks that did
+  // not nest are counted once each, on a worker or on a calling thread; an
+  // outer task that nested is a container and is not counted.
+  constexpr size_t kOuter = 8;
+  constexpr size_t kInner = 64;
+  for (int workers : {1, 2, 4}) {
+    MorselScheduler sched(workers);
+    std::vector<std::atomic<int>> outer_hits(kOuter);
+    std::vector<std::atomic<int>> inner_hits(kOuter * kInner);
+    for (auto& h : outer_hits) h.store(0);
+    for (auto& h : inner_hits) h.store(0);
+    sched.ParallelFor(kOuter, [&](size_t o, int) {
+      outer_hits[o].fetch_add(1);
+      if (o % 2 == 1) return;  // a node that ran whole-column
+      sched.ParallelFor(kInner, [&, o](size_t i, int) {
+        inner_hits[o * kInner + i].fetch_add(1);
+      });
+    });
+    for (size_t o = 0; o < kOuter; ++o) {
+      EXPECT_EQ(outer_hits[o].load(), 1) << "workers=" << workers;
+    }
+    for (size_t i = 0; i < inner_hits.size(); ++i) {
+      EXPECT_EQ(inner_hits[i].load(), (i / kInner) % 2 == 0 ? 1 : 0)
+          << "workers=" << workers << " " << i;
+    }
+    uint64_t worker_tasks = 0;
+    for (const auto& w : sched.worker_stats()) worker_tasks += w.tasks;
+    EXPECT_EQ(worker_tasks + sched.caller_tasks(), sched.total_tasks());
+    EXPECT_EQ(sched.total_tasks(), kOuter / 2 + kOuter / 2 * kInner)
+        << "workers=" << workers;
+  }
+}
+
+TEST(MorselSchedulerTest, BusyTimeCountsInnerTasksOnce) {
+  // A container task's duration covers the inner tasks it ran and its wait
+  // for the rest; counting it too would count that time twice. Busy time,
+  // workers and callers together, must be the inner tasks' own time.
+  constexpr size_t kInner = 8;
+  for (int workers : {1, 2, 4}) {
+    MorselScheduler sched(workers);
+    std::atomic<uint64_t> inner_ns{0};
+    sched.ParallelFor(1, [&](size_t, int) {
+      sched.ParallelFor(kInner, [&](size_t, int) {
+        const double t0 = NowNs();
+        std::this_thread::sleep_for(std::chrono::milliseconds(4));
+        inner_ns.fetch_add(static_cast<uint64_t>(NowNs() - t0));
+      });
+    });
+    uint64_t busy = sched.caller_busy_ns();
+    for (const auto& w : sched.worker_stats()) busy += w.busy_ns;
+    EXPECT_GE(busy, inner_ns.load()) << "workers=" << workers;
+    // At most `workers` threads share the 32 ms of inner work, so the
+    // container alone lasts at least 8 ms; bookkeeping outside the timed
+    // sleeps is microseconds.
+    EXPECT_LT(busy, inner_ns.load() + 4'000'000) << "workers=" << workers;
+    EXPECT_EQ(sched.total_tasks(), kInner) << "workers=" << workers;
+  }
+}
+
 TEST(MorselSchedulerTest, WorkerStatsAccountForAllTasks) {
   MorselScheduler sched(2);
   sched.ParallelFor(128, [](size_t, int) {});
@@ -155,7 +220,7 @@ class MorselDifferentialTest : public ::testing::Test {
   void ExpectMorselMatches(const QueryPlan& plan) {
     Evaluator scalar(ExecOptions{});
     scalar.set_use_kernels(false);
-    Evaluator whole;  // kernels, no morsels
+    Evaluator whole;  // kernels; test tables fit in one default morsel
     EvalResult ref, base;
     ASSERT_TRUE(scalar.Execute(plan, &ref).ok());
     ASSERT_TRUE(whole.Execute(plan, &base).ok());
@@ -164,10 +229,8 @@ class MorselDifferentialTest : public ::testing::Test {
     for (uint64_t rows : kMorselSizes) {
       for (int workers : {1, 2, 4, 8}) {
         ExecOptions o;
-        o.use_morsels = true;
         o.morsel_rows = rows;
-        o.morsel_workers = workers;
-        Evaluator morsel(o);
+        Evaluator morsel(o, std::make_shared<MorselScheduler>(workers));
         EvalResult got;
         ASSERT_TRUE(morsel.Execute(plan, &got).ok())
             << "rows=" << rows << " workers=" << workers;
@@ -225,10 +288,8 @@ TEST_F(MorselDifferentialTest, LikePredicateOverDictionary) {
 TEST_F(MorselDifferentialTest, PerMorselTupleCountsSumToOperatorCounts) {
   QueryPlan plan = Pipeline(499, 0.5);
   ExecOptions o;
-  o.use_morsels = true;
   o.morsel_rows = 1024;
-  o.morsel_workers = 4;
-  Evaluator eval(o);
+  Evaluator eval(o, std::make_shared<MorselScheduler>(4));
   EvalResult er;
   ASSERT_TRUE(eval.Execute(plan, &er).ok());
   int morselized_ops = 0;
@@ -270,10 +331,8 @@ TEST_F(MorselDifferentialTest, StrictMisalignmentReportsSameErrorAsSerial) {
 
   for (uint64_t rows : kMorselSizes) {
     ExecOptions o;
-    o.use_morsels = true;
     o.morsel_rows = rows;
-    o.morsel_workers = 4;
-    Evaluator morsel(o);
+    Evaluator morsel(o, std::make_shared<MorselScheduler>(4));
     EvalResult er2;
     Status st = morsel.Execute(plan, &er2);
     ASSERT_FALSE(st.ok()) << "rows=" << rows;
@@ -285,10 +344,8 @@ TEST_F(MorselDifferentialTest, StrictMisalignmentReportsSameErrorAsSerial) {
 TEST_F(MorselDifferentialTest, ScalarInterpreterIsNeverMorselized) {
   ExecOptions o;
   o.use_kernels = false;
-  o.use_morsels = true;  // must be ignored without kernels
-  o.morsel_rows = 64;
+  o.morsel_rows = 64;  // must be ignored without kernels
   Evaluator eval(o);
-  EXPECT_FALSE(eval.MorselsEnabled());
   EvalResult er;
   ASSERT_TRUE(eval.Execute(Pipeline(499, 0.5), &er).ok());
   for (const auto& m : er.metrics) EXPECT_TRUE(m.morsels.empty());
@@ -321,11 +378,14 @@ TEST(MorselSpeedupTest, MorselsBeatWholeColumnOnMulticore) {
     }
     return best;
   };
-  Evaluator whole;  // kernels, whole-column
-  ExecOptions o;
-  o.use_morsels = true;
-  o.morsel_workers = 4;
-  Evaluator morsel(o);
+  // One morsel = the whole column, run on the calling thread. Under an
+  // APQ_FORCE_MORSELS override both sides split into the same morsels, and
+  // the 1-worker fleet keeps this side's parallelism below the 4-worker
+  // side's, so the comparison still measures scaling.
+  ExecOptions whole_o;
+  whole_o.morsel_rows = 1 << 24;
+  Evaluator whole(whole_o, std::make_shared<MorselScheduler>(1));
+  Evaluator morsel(ExecOptions{}, std::make_shared<MorselScheduler>(4));
   const double whole_ns = best_of(whole);
   const double morsel_ns = best_of(morsel);
   EXPECT_LT(morsel_ns, whole_ns)
@@ -345,11 +405,8 @@ TEST(MorselSharingTest, EvaluatorsShareInjectedScheduler) {
   QueryPlan plan = b.Result(s);
 
   ExecOptions o;
-  o.use_morsels = true;
   o.morsel_rows = 1024;
-  Evaluator e1(o), e2(o);
-  e1.set_morsel_scheduler(sched);
-  e2.set_morsel_scheduler(sched);
+  Evaluator e1(o, sched), e2(o, sched);
 
   const uint64_t before = sched->total_tasks();
   std::thread t1([&] {

@@ -280,10 +280,8 @@ TEST(SchedulerMetricsTest, EvaluatorMorselRunFeedsTheCounters) {
 
   for (int workers : {1, 2, 4, 8}) {
     ExecOptions o;
-    o.use_morsels = true;
     o.morsel_rows = 512;
-    o.morsel_workers = workers;
-    Evaluator ev(o);
+    Evaluator ev(o, std::make_shared<MorselScheduler>(workers));
     EvalResult er;
     ASSERT_TRUE(ev.Execute(plan.ValueOrDie(), &er).ok());
 
@@ -316,7 +314,7 @@ TEST(TraceDeterminismTest, TpchSuiteBitIdenticalTracingOnAndOff) {
     auto plan = Tpch::Query(*cat, name);
     ASSERT_TRUE(plan.ok()) << name;
 
-    // Baseline: tracing off, whole-column kernels.
+    // Baseline: tracing off, default morsels (whole-column here).
     obs::SetTraceEnabled(false);
     Evaluator base_ev(ExecOptions{});
     EvalResult base;
@@ -324,20 +322,19 @@ TEST(TraceDeterminismTest, TpchSuiteBitIdenticalTracingOnAndOff) {
 
     for (int workers : {1, 2, 4, 8}) {
       ExecOptions o;
-      o.use_morsels = true;
       o.morsel_rows = 512;
-      o.morsel_workers = workers;
+      auto fleet = std::make_shared<MorselScheduler>(workers);
 
       // Tracing OFF.
       obs::SetTraceEnabled(false);
-      Evaluator off_ev(o);
+      Evaluator off_ev(o, fleet);
       EvalResult off;
       ASSERT_TRUE(off_ev.Execute(plan.ValueOrDie(), &off).ok())
           << name << " workers=" << workers;
 
       // Tracing ON (spans + sampled morsel spans + steal events recording).
       o.trace = true;
-      Evaluator on_ev(o);
+      Evaluator on_ev(o, fleet);
       EvalResult on;
       ASSERT_TRUE(on_ev.Execute(plan.ValueOrDie(), &on).ok())
           << name << " workers=" << workers;

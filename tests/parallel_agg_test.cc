@@ -8,13 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 #include <thread>
 #include <unordered_map>
 
+#include "engine/engine.h"
 #include "exec/agg/agg_table.h"
 #include "exec/agg/parallel_agg.h"
 #include "exec/compare.h"
 #include "exec/evaluator.h"
+#include "exec/simd/simd_ops.h"
 #include "plan/builder.h"
 #include "util/rng.h"
 
@@ -26,6 +30,16 @@ namespace {
 const uint64_t kMorselSizes[] = {1, 7, 4096, 64 * 1024, 1 << 30};
 const AggFn kAllAggFns[] = {AggFn::kSum, AggFn::kAvg, AggFn::kCount,
                             AggFn::kMin, AggFn::kMax};
+
+// Dispatch tiers this host can execute (the scalar table is all-null, so
+// routing through it is the row-at-a-time fold).
+std::vector<simd::SimdLevel> HostTiers() {
+  std::vector<simd::SimdLevel> tiers = {simd::SimdLevel::kScalar};
+  for (simd::SimdLevel l : {simd::SimdLevel::kAvx2, simd::SimdLevel::kAvx512}) {
+    if (simd::LevelSupported(l)) tiers.push_back(l);
+  }
+  return tiers;
+}
 
 // ---- AggTable --------------------------------------------------------------
 
@@ -187,6 +201,176 @@ TEST_P(ParallelGroupByTest, AllDistinctAndSingleGroupExtremes) {
 INSTANTIATE_TEST_SUITE_P(Workers, ParallelGroupByTest,
                          ::testing::Values(1, 2, 4, 8));
 
+// ---- ParallelGroupedAgg (function level) -----------------------------------
+
+// Reference fold at fixed blocks: each block folds its rows sequentially
+// from the fn's identity, then the blocks fold into the output in block
+// order, skipping groups a block never saw.
+void ReferenceBlockFold(const std::vector<int64_t>& gids,
+                        const std::vector<double>& vals, AggFn fn,
+                        uint64_t ngroups, uint64_t fold_rows,
+                        std::vector<double>* out_vals,
+                        std::vector<int64_t>* out_counts) {
+  const double init = fn == AggFn::kMin ? 1e300
+                      : fn == AggFn::kMax ? -1e300
+                                          : 0.0;
+  auto fold = [fn](double acc, double v) {
+    switch (fn) {
+      case AggFn::kSum:
+      case AggFn::kAvg: return acc + v;
+      case AggFn::kCount: return acc + 1.0;
+      case AggFn::kMin: return std::min(acc, v);
+      case AggFn::kMax: return std::max(acc, v);
+      case AggFn::kNone: break;
+    }
+    return acc;
+  };
+  out_vals->assign(ngroups, init);
+  out_counts->assign(ngroups, 0);
+  for (uint64_t b = 0; b < gids.size(); b += fold_rows) {
+    const uint64_t e = std::min<uint64_t>(gids.size(), b + fold_rows);
+    std::vector<double> pv(ngroups, init);
+    std::vector<int64_t> pc(ngroups, 0);
+    for (uint64_t i = b; i < e; ++i) {
+      pv[gids[i]] = fold(pv[gids[i]], vals[i]);
+      ++pc[gids[i]];
+    }
+    for (uint64_t g = 0; g < ngroups; ++g) {
+      if (pc[g] == 0) continue;
+      (*out_vals)[g] = fn == AggFn::kCount || fn == AggFn::kSum ||
+                               fn == AggFn::kAvg
+                           ? (*out_vals)[g] + pv[g]
+                           : fold((*out_vals)[g], pv[g]);
+      (*out_counts)[g] += pc[g];
+    }
+  }
+}
+
+class ParallelGroupedAggTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParallelGroupedAggTest, FoldsAtFixedBlocksAtAnyMorselSize) {
+  // The block size, not the morsel size, fixes how partial sums associate:
+  // every morsel size and worker count must produce the reference block
+  // fold's exact bytes, on the flat (few groups) and hash (many groups)
+  // paths alike.
+  const int workers = GetParam();
+  MorselScheduler sched(workers);
+  const uint64_t n = 3 * kAggFoldRows + 123;  // four blocks, one partial
+  Rng rng(29);
+  for (uint64_t ngroups : {uint64_t{37}, uint64_t{6000}}) {
+    std::vector<int64_t> gids(n);
+    std::vector<double> vals(gids.size());
+    for (size_t i = 0; i < gids.size(); ++i) {
+      gids[i] = rng.UniformRange(0, static_cast<int64_t>(ngroups) - 1);
+      vals[i] = (i % 2 == 0 ? 1e12 : -1e12) + rng.NextDouble();
+    }
+    for (AggFn fn : kAllAggFns) {
+      std::vector<double> ref_vals;
+      std::vector<int64_t> ref_counts;
+      ReferenceBlockFold(gids, vals, fn, ngroups, kAggFoldRows, &ref_vals,
+                         &ref_counts);
+      for (uint64_t rows : kMorselSizes) {
+        SCOPED_TRACE(std::string(AggFnName(fn)) +
+                     " ngroups=" + std::to_string(ngroups) +
+                     " rows=" + std::to_string(rows));
+        ParallelAggOptions o;
+        o.morsel_rows = rows;
+        o.scheduler = &sched;
+        const double init = fn == AggFn::kMin ? 1e300
+                            : fn == AggFn::kMax ? -1e300
+                                                : 0.0;
+        std::vector<double> got_vals(ngroups, init);
+        std::vector<int64_t> got_counts(ngroups, 0);
+        ASSERT_EQ(ParallelGroupedAgg(gids.data(), gids.size(), vals.data(),
+                                     nullptr, fn, ngroups, o, got_vals.data(),
+                                     got_counts.data()),
+                  4u);
+        EXPECT_EQ(std::memcmp(got_vals.data(), ref_vals.data(),
+                              ngroups * sizeof(double)),
+                  0);
+        EXPECT_EQ(got_counts, ref_counts);
+      }
+    }
+  }
+}
+
+TEST_P(ParallelGroupedAggTest, I64ValuesFoldIdenticallyAtEveryTier) {
+  // The flat path folds runs of equal group ids with the SIMD kernels:
+  // MIN/MAX always, SUM/AVG as one exact integer sum when a block's values
+  // are small enough that every partial stays below 2^53. Values in
+  // [-1000, 1000] take that exact sum; values near 2^50 fall back to the
+  // row loop. Both must give the reference block fold's bytes at every
+  // tier the host runs.
+  MorselScheduler sched(GetParam());
+  const uint64_t n = 3 * kAggFoldRows + 123;
+  const uint64_t ngroups = 37;
+  Rng rng(31);
+  std::vector<int64_t> gids(n);
+  for (uint64_t i = 0; i < n;) {  // runs of 1..64 equal ids
+    const int64_t g = rng.UniformRange(0, ngroups - 1);
+    for (int64_t k = rng.UniformRange(1, 64); k > 0 && i < n; --k) {
+      gids[i++] = g;
+    }
+  }
+  for (int64_t bound : {int64_t{1000}, int64_t{1} << 50}) {
+    std::vector<int64_t> vi(n);
+    std::vector<double> vd(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      vi[i] = rng.UniformRange(-bound, bound);
+      vd[i] = static_cast<double>(vi[i]);
+    }
+    for (AggFn fn : kAllAggFns) {
+      std::vector<double> ref_vals;
+      std::vector<int64_t> ref_counts;
+      ReferenceBlockFold(gids, vd, fn, ngroups, kAggFoldRows, &ref_vals,
+                         &ref_counts);
+      for (simd::SimdLevel tier : HostTiers()) {
+        for (uint64_t rows : {uint64_t{4096}, kDefaultMorselRows}) {
+          SCOPED_TRACE(std::string(AggFnName(fn)) +
+                       " bound=" + std::to_string(bound) +
+                       " tier=" + simd::LevelName(tier) +
+                       " rows=" + std::to_string(rows));
+          ParallelAggOptions o;
+          o.morsel_rows = rows;
+          o.scheduler = &sched;
+          o.simd = &simd::OpsFor(tier);
+          const double init = fn == AggFn::kMin ? 1e300
+                              : fn == AggFn::kMax ? -1e300
+                                                  : 0.0;
+          std::vector<double> got_vals(ngroups, init);
+          std::vector<int64_t> got_counts(ngroups, 0);
+          ASSERT_EQ(ParallelGroupedAgg(gids.data(), n, nullptr, vi.data(), fn,
+                                       ngroups, o, got_vals.data(),
+                                       got_counts.data()),
+                    4u);
+          EXPECT_EQ(std::memcmp(got_vals.data(), ref_vals.data(),
+                                ngroups * sizeof(double)),
+                    0);
+          EXPECT_EQ(got_counts, ref_counts);
+        }
+      }
+    }
+  }
+}
+
+TEST_P(ParallelGroupedAggTest, OneBlockDeclinesToTheSequentialLoop) {
+  MorselScheduler sched(GetParam());
+  std::vector<int64_t> gids(kAggFoldRows, 0);
+  std::vector<double> vals(kAggFoldRows, 1.5);
+  ParallelAggOptions o;
+  o.morsel_rows = 7;  // many morsels, but a single fold block
+  o.scheduler = &sched;
+  double v = 0;
+  int64_t c = 0;
+  EXPECT_EQ(ParallelGroupedAgg(gids.data(), gids.size(), vals.data(), nullptr,
+                               AggFn::kSum, 1, o, &v, &c),
+            0u);
+  EXPECT_EQ(c, 0);  // nothing written
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, ParallelGroupedAggTest,
+                         ::testing::Values(1, 2, 4, 8));
+
 // ---- evaluator-level differential ------------------------------------------
 
 class ParallelAggEvalTest : public ::testing::Test {
@@ -227,8 +411,10 @@ class ParallelAggEvalTest : public ::testing::Test {
     return b.Result(j);
   }
 
-  static EvalResult Run(const QueryPlan& plan, ExecOptions o) {
-    Evaluator eval(o);
+  static EvalResult Run(const QueryPlan& plan, ExecOptions o,
+                        int workers = 0) {
+    Evaluator eval(o, workers > 0 ? std::make_shared<MorselScheduler>(workers)
+                                  : nullptr);
     EvalResult er;
     EXPECT_TRUE(eval.Execute(plan, &er).ok());
     return er;
@@ -248,11 +434,8 @@ class ParallelAggEvalTest : public ::testing::Test {
     for (uint64_t rows : kMorselSizes) {
       for (int workers : {1, 2, 4, 8}) {
         ExecOptions o;
-        o.use_morsels = true;
         o.morsel_rows = rows;
-        o.morsel_workers = workers;
-        o.use_parallel_agg = true;
-        EvalResult got = Run(plan, o);
+        EvalResult got = Run(plan, o, workers);
         EXPECT_EQ(DiffIntermediates(base.result, got.result), "")
             << "rows=" << rows << " workers=" << workers;
         ASSERT_EQ(base.intermediates.size(), got.intermediates.size());
@@ -350,10 +533,8 @@ TEST_F(ParallelAggEvalTest, SlicedProbeClipsIdenticallyToSequential) {
 
 TEST_F(ParallelAggEvalTest, PerMorselCountsSumToOperatorTotals) {
   ExecOptions o;
-  o.use_morsels = true;
   o.morsel_rows = 1024;
-  o.morsel_workers = 4;
-  Evaluator eval(o);
+  Evaluator eval(o, std::make_shared<MorselScheduler>(4));
   EvalResult er;
   ASSERT_TRUE(eval.Execute(GroupAggPlan(AggFn::kSum, /*hi=*/499), &er).ok());
   EvalResult jr;
@@ -384,48 +565,149 @@ TEST_F(ParallelAggEvalTest, PerMorselCountsSumToOperatorTotals) {
   }
 }
 
-TEST_F(ParallelAggEvalTest, DisablingParallelAggKeepsOperatorsWholeColumn) {
-  ExecOptions o;
-  o.use_morsels = true;
-  o.morsel_rows = 1024;
-  o.morsel_workers = 4;
-  o.use_parallel_agg = false;
-  Evaluator eval(o);
-  // The env override forces the tier back on (that is its job in CI); the
-  // gating assertion below is only meaningful without it.
-  if (eval.ParallelAggEnabled()) GTEST_SKIP() << "APQ_FORCE_MORSELS is set";
-  EvalResult base = Run(GroupAggPlan(AggFn::kSum), ExecOptions{});
-  EvalResult er;
-  ASSERT_TRUE(eval.Execute(GroupAggPlan(AggFn::kSum), &er).ok());
-  EXPECT_EQ(DiffIntermediates(base.result, er.result), "");
-  for (const auto& m : er.metrics) {
-    if (m.kind == OpKind::kGroupBy || m.kind == OpKind::kJoin ||
-        m.kind == OpKind::kAggregate) {
-      EXPECT_TRUE(m.morsels.empty()) << OpKindName(m.kind);
-    }
-  }
-}
-
 TEST_F(ParallelAggEvalTest, DeterministicAcrossRepeatedRuns) {
   ExecOptions o;
-  o.use_morsels = true;
   o.morsel_rows = 512;
-  o.morsel_workers = 4;
-  Evaluator eval(o);
+  Evaluator eval(o, std::make_shared<MorselScheduler>(4));
   QueryPlan plan = GroupAggPlan(AggFn::kAvg);
   EvalResult first;
   ASSERT_TRUE(eval.Execute(plan, &first).ok());
   for (int rep = 0; rep < 5; ++rep) {
     EvalResult again;
     ASSERT_TRUE(eval.Execute(plan, &again).ok());
-    // Bit-exact repeatability (not just tolerance): the merge folds partials
-    // in morsel order, independent of stealing.
+    // Bit-exact repeatability (not just tolerance) of the morsel-parallel
+    // select, fetches and group-by under stealing. The grouped AVG's 25,000
+    // rows fit one fold block, so it takes the sequential loop here;
+    // GroupedAggMorselSizeTest compares multi-block fold bytes across
+    // fleets and morsel sizes.
     ASSERT_EQ(first.result.agg_vals.size(), again.result.agg_vals.size());
     for (size_t g = 0; g < first.result.agg_vals.size(); ++g) {
       EXPECT_EQ(first.result.agg_vals[g], again.result.agg_vals[g]) << rep;
     }
     EXPECT_EQ(first.result.agg_counts, again.result.agg_counts) << rep;
     EXPECT_EQ(first.result.group_keys.i64, again.result.group_keys.i64) << rep;
+  }
+}
+
+TEST(GroupedAggOracleTest, MultiBlockInputsMatchTheScalarInterpreter) {
+  // Inputs under two fold blocks take the operator's sequential loop at any
+  // morsel size, so the fixtures above (25,000 rows) never reach
+  // ParallelGroupedAgg. This input spans four blocks. Every AggFn over i64
+  // and f64 values, the flat (37 groups) and hash (6000 groups) merges,
+  // every host SIMD tier and fleets of 1/2/4/8 must match the scalar
+  // interpreter: bit-identical where the fold is exact (COUNT, MIN, MAX,
+  // and SUM/AVG of small integers), within the compare tolerance for f64
+  // SUM/AVG, whose partial sums associate at block boundaries.
+  const uint64_t n = 3 * kAggFoldRows + 123;
+  Rng rng(43);
+  std::vector<int64_t> iv(n);
+  std::vector<double> fv(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    iv[i] = rng.UniformRange(-1000, 1000);
+    fv[i] = rng.NextDouble() * 1000.0 - 500.0;
+  }
+  auto ints = Column::MakeInt64("ints", std::move(iv));
+  auto floats = Column::MakeFloat64("floats", std::move(fv));
+  ExecOptions scalar_opts;
+  scalar_opts.use_kernels = false;
+  Evaluator scalar(scalar_opts);
+  for (int64_t ngroups : {int64_t{37}, int64_t{6000}}) {
+    // Runs of 1..64 equal keys, so the flat path's SIMD run folds engage.
+    std::vector<int64_t> kv(n);
+    for (uint64_t i = 0; i < n;) {
+      const int64_t k = rng.UniformRange(0, ngroups - 1);
+      for (int64_t r = rng.UniformRange(1, 64); r > 0 && i < n; --r) {
+        kv[i++] = k;
+      }
+    }
+    auto keys = Column::MakeInt64("keys", std::move(kv));
+    for (const Column* col : {ints.get(), floats.get()}) {
+      const bool is_i64 = col == ints.get();
+      for (AggFn fn : kAllAggFns) {
+        PlanBuilder b("oracle");
+        int g = b.GroupByLeaf(keys.get());
+        int s = b.Select(col, is_i64 ? Predicate::RangeI64(-1000, 1000)
+                                     : Predicate::RangeF64(-1e300, 1e300));
+        int f = b.FetchJoin(col, s);
+        QueryPlan plan =
+            b.Result(b.AggGrouped(fn, g, fn == AggFn::kCount ? -1 : f));
+        EvalResult want;
+        ASSERT_TRUE(scalar.Execute(plan, &want).ok());
+        const bool exact = is_i64 || (fn != AggFn::kSum && fn != AggFn::kAvg);
+        for (simd::SimdLevel tier : HostTiers()) {
+          for (int workers : {1, 2, 4, 8}) {
+            SCOPED_TRACE(std::string(AggFnName(fn)) + " " + col->name() +
+                         " ngroups=" + std::to_string(ngroups) +
+                         " tier=" + simd::LevelName(tier) +
+                         " workers=" + std::to_string(workers));
+            ExecOptions o;
+            o.simd_level = tier;
+            Evaluator eval(o, std::make_shared<MorselScheduler>(workers));
+            EvalResult got;
+            ASSERT_TRUE(eval.Execute(plan, &got).ok());
+            EXPECT_EQ(DiffIntermediates(want.result, got.result), "");
+            EXPECT_EQ(want.result.agg_counts, got.result.agg_counts);
+            if (exact) {
+              ASSERT_EQ(want.result.agg_vals.size(),
+                        got.result.agg_vals.size());
+              EXPECT_EQ(std::memcmp(want.result.agg_vals.data(),
+                                    got.result.agg_vals.data(),
+                                    want.result.agg_vals.size() *
+                                        sizeof(double)),
+                        0);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GroupedAggMorselSizeTest, SumBytesDoNotDependOnMorselSize) {
+  // The served configuration: the admission grant scales morsel_rows and
+  // APQ_FORCE_MORSELS overrides it. Cancellation-prone f64 sums over more
+  // than one fold block must come out byte-identical at every morsel size
+  // and fleet size. The runs compare with each other, not with the scalar
+  // interpreter: on this data any two fold orders differ far past the
+  // compare tolerance (GroupedAggOracleTest covers the oracle).
+  Rng rng(41);
+  const uint64_t n = 200000;
+  std::vector<int64_t> kv(n);
+  std::vector<double> vv(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    kv[i] = rng.UniformRange(0, 7);
+    vv[i] = (i % 2 == 0 ? 1e16 : -1e16) + rng.NextDouble() * 1000;
+  }
+  auto keys = Column::MakeInt64("keys", std::move(kv));
+  auto vals = Column::MakeFloat64("vals", std::move(vv));
+  for (AggFn fn : {AggFn::kSum, AggFn::kAvg}) {
+    PlanBuilder b(AggFnName(fn));
+    int g = b.GroupByLeaf(keys.get());
+    int s = b.Select(vals.get(), Predicate::RangeF64(-1e300, 1e300));
+    int f = b.FetchJoin(vals.get(), s);
+    QueryPlan plan = b.Result(b.AggGrouped(fn, g, f));
+    std::vector<double> first;
+    for (uint64_t rows : {uint64_t{512}, uint64_t{4096}, uint64_t{65536},
+                          uint64_t{1} << 20}) {
+      for (int workers : {1, 4}) {
+        EngineConfig cfg;
+        cfg.morsel_rows = rows;
+        cfg.morsel_scheduler = std::make_shared<MorselScheduler>(workers);
+        Engine engine(cfg);
+        auto run = engine.RunPlan(plan);
+        ASSERT_TRUE(run.ok());
+        const std::vector<double>& got = run.ValueOrDie().result.agg_vals;
+        ASSERT_EQ(got.size(), 8u);
+        if (first.empty()) {
+          first = got;
+          continue;
+        }
+        EXPECT_EQ(std::memcmp(got.data(), first.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << AggFnName(fn) << " rows=" << rows << " workers=" << workers;
+      }
+    }
   }
 }
 
@@ -453,11 +735,14 @@ TEST(ParallelAggSpeedupTest, ParallelGroupByBeatsSequentialOnMulticore) {
     }
     return best;
   };
-  Evaluator whole;  // kernels, whole-column ingest
-  ExecOptions o;
-  o.use_morsels = true;
-  o.morsel_workers = 4;
-  Evaluator par(o);
+  // One morsel = the whole column, run on the calling thread. Under an
+  // APQ_FORCE_MORSELS override both sides split into the same morsels, and
+  // the 1-worker fleet keeps this side's parallelism below the 4-worker
+  // side's, so the comparison still measures scaling.
+  ExecOptions whole_o;
+  whole_o.morsel_rows = 1 << 23;
+  Evaluator whole(whole_o, std::make_shared<MorselScheduler>(1));
+  Evaluator par(ExecOptions{}, std::make_shared<MorselScheduler>(4));
   EXPECT_LT(best_of(par), best_of(whole))
       << "morsel-parallel group-by ingest should beat the sequential loop "
          "on >= 4 cores";

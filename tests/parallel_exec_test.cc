@@ -1,82 +1,42 @@
-// Thread-pool execution of exchange-parallelized plans: threaded runs must
-// reproduce serial results exactly (same intermediates, same metrics order),
-// and errors must propagate cleanly out of worker threads.
+// Plan-DAG execution on the worker fleet: every wave of ready nodes (the
+// exchange clones of a parallelized plan) runs concurrently, and each node's
+// operator splits into morsels on the same fleet. Runs on fleets of 1, 2, 4
+// and 8 workers must reproduce the 1-worker fleet exactly (same
+// intermediates, same metrics order, same error), and errors must propagate
+// cleanly out of worker threads.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <memory>
 #include <thread>
 
 #include "adaptive/mutator.h"
-#include "sched/morsel_scheduler.h"
 #include "exec/compare.h"
 #include "exec/evaluator.h"
 #include "heuristic/parallelizer.h"
 #include "plan/builder.h"
-#include "sched/thread_pool.h"
+#include "sched/morsel_scheduler.h"
 #include "workload/tpch.h"
 
 namespace apq {
 namespace {
 
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
-  std::atomic<int> count{0};
-  std::atomic<int> remaining{100};
-  std::mutex mu;
-  std::condition_variable cv;
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&] {
-      count.fetch_add(1);
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-      }
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return remaining.load() == 0; });
-  EXPECT_EQ(count.load(), 100);
+const int kFleets[] = {1, 2, 4, 8};
+
+std::shared_ptr<MorselScheduler> Fleet(int workers) {
+  return std::make_shared<MorselScheduler>(workers);
 }
 
-TEST(ThreadPoolTest, TasksMaySubmitTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  std::atomic<int> remaining{10};
-  std::mutex mu;
-  std::condition_variable cv;
-  // Notify under the lock: the waiter destroys cv right after the predicate
-  // holds, so an unlocked notify races with both the re-block and teardown.
-  auto finish_one = [&] {
-    if (remaining.fetch_sub(1) == 1) {
-      std::lock_guard<std::mutex> lock(mu);
-      cv.notify_all();
-    }
-  };
-  for (int i = 0; i < 5; ++i) {
-    pool.Submit([&] {
-      count.fetch_add(1);
-      pool.Submit([&] {
-        count.fetch_add(1);
-        finish_one();
-      });
-      finish_one();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return remaining.load() == 0; });
-  EXPECT_EQ(count.load(), 10);
+// Whole-column kernels: one morsel covers any table in this suite.
+ExecOptions WholeColumn() {
+  ExecOptions o;
+  o.morsel_rows = uint64_t{1} << 30;
+  return o;
 }
 
-TEST(ThreadPoolTest, DrainsPendingTasksOnDestruction) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&] { count.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(count.load(), 50);
+ExecOptions MorselRows(uint64_t rows) {
+  ExecOptions o;
+  o.morsel_rows = rows;
+  return o;
 }
 
 class ParallelExecTest : public ::testing::Test {
@@ -87,31 +47,37 @@ class ParallelExecTest : public ::testing::Test {
     cat_ = Tpch::Generate(cfg);
   }
 
-  // Executes `plan` serially and with a 4-worker pool; both must succeed and
-  // agree on every reachable intermediate and on the metrics order.
-  void ExpectThreadedMatchesSerial(const QueryPlan& plan) {
-    Evaluator serial(ExecOptions{true, 1});
-    Evaluator threaded(ExecOptions{true, 4});
-    EvalResult a, b;
-    ASSERT_TRUE(serial.Execute(plan, &a).ok());
-    ASSERT_TRUE(threaded.Execute(plan, &b).ok());
-    EXPECT_EQ(DiffIntermediates(a.result, b.result), "");
-    ASSERT_EQ(a.intermediates.size(), b.intermediates.size());
-    for (const auto& [id, inter] : a.intermediates) {
-      ASSERT_TRUE(b.intermediates.count(id));
-      EXPECT_EQ(DiffIntermediates(inter, b.intermediates.at(id)), "")
-          << "node " << id;
-    }
-    // Metrics come back in topological order regardless of which worker ran
-    // which node (the simulator depends on this ordering).
-    ASSERT_EQ(a.metrics.size(), b.metrics.size());
-    for (size_t i = 0; i < a.metrics.size(); ++i) {
-      EXPECT_EQ(a.metrics[i].node_id, b.metrics[i].node_id) << i;
-      EXPECT_EQ(a.metrics[i].tuples_out, b.metrics[i].tuples_out) << i;
-      // Hash-build cost lands on the topologically-first join regardless of
-      // which worker raced to build (both evaluators are cold here).
-      EXPECT_EQ(a.metrics[i].hash_build_rows, b.metrics[i].hash_build_rows)
-          << i;
+  // Executes `plan` on a 1-worker fleet and on fleets of 1, 2, 4 and 8
+  // workers; all must succeed and agree on every reachable intermediate and
+  // on the metrics order.
+  void ExpectFleetsMatchOneWorker(const QueryPlan& plan,
+                                  ExecOptions o = ExecOptions{}) {
+    Evaluator one(o, Fleet(1));
+    EvalResult a;
+    ASSERT_TRUE(one.Execute(plan, &a).ok());
+    for (int workers : kFleets) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      Evaluator fleet(o, Fleet(workers));
+      EvalResult b;
+      ASSERT_TRUE(fleet.Execute(plan, &b).ok());
+      EXPECT_EQ(DiffIntermediates(a.result, b.result), "");
+      ASSERT_EQ(a.intermediates.size(), b.intermediates.size());
+      for (const auto& [id, inter] : a.intermediates) {
+        ASSERT_TRUE(b.intermediates.count(id));
+        EXPECT_EQ(DiffIntermediates(inter, b.intermediates.at(id)), "")
+            << "node " << id;
+      }
+      // Metrics come back in topological order regardless of which worker
+      // ran which node (the simulator depends on this ordering).
+      ASSERT_EQ(a.metrics.size(), b.metrics.size());
+      for (size_t i = 0; i < a.metrics.size(); ++i) {
+        EXPECT_EQ(a.metrics[i].node_id, b.metrics[i].node_id) << i;
+        EXPECT_EQ(a.metrics[i].tuples_out, b.metrics[i].tuples_out) << i;
+        // Hash-build cost lands on the topologically-first join regardless
+        // of which worker raced to build (both evaluators are cold here).
+        EXPECT_EQ(a.metrics[i].hash_build_rows, b.metrics[i].hash_build_rows)
+            << i;
+      }
     }
   }
 
@@ -126,7 +92,7 @@ TEST_F(ParallelExecTest, HeuristicPlansReproduceSerialResults) {
       HeuristicParallelizer hp(HeuristicConfig{.dop = dop});
       auto plan = hp.Parallelize(serial_plan.ValueOrDie());
       ASSERT_TRUE(plan.ok()) << name;
-      ExpectThreadedMatchesSerial(plan.ValueOrDie()) ;
+      ExpectFleetsMatchOneWorker(plan.ValueOrDie());
     }
   }
 }
@@ -136,7 +102,7 @@ TEST_F(ParallelExecTest, MutatedExchangePlanReproducesSerialResult) {
   ASSERT_TRUE(q6.ok());
   QueryPlan plan = q6.MoveValueOrDie();
   // Split the leaf select 4 ways: the clones are independent subtrees feeding
-  // one exchange union, exactly the concurrency the pool exploits.
+  // one exchange union, exactly the concurrency a node wave exploits.
   Mutator mutator;
   int sel = -1;
   for (int i = 0; i < plan.num_nodes(); ++i) {
@@ -145,42 +111,72 @@ TEST_F(ParallelExecTest, MutatedExchangePlanReproducesSerialResult) {
   ASSERT_GE(sel, 0);
   ASSERT_TRUE(mutator.SplitNode(&plan, sel, 4).ok());
   ASSERT_TRUE(plan.Validate().ok());
-  ExpectThreadedMatchesSerial(plan);
+  ExpectFleetsMatchOneWorker(plan);
 }
 
-TEST_F(ParallelExecTest, ThreadedExecutionIsDeterministicAcrossRuns) {
+TEST_F(ParallelExecTest, ExecutionIsDeterministicAcrossRunsAndFleets) {
   auto q14 = Tpch::Query(*cat_, "Q14");
   ASSERT_TRUE(q14.ok());
   HeuristicParallelizer hp(HeuristicConfig{.dop = 8});
   auto plan = hp.Parallelize(q14.ValueOrDie());
   ASSERT_TRUE(plan.ok());
-  Evaluator threaded(ExecOptions{true, 4});
+  Evaluator one(ExecOptions{}, Fleet(1));
   EvalResult first;
-  ASSERT_TRUE(threaded.Execute(plan.ValueOrDie(), &first).ok());
-  for (int rep = 0; rep < 5; ++rep) {
-    EvalResult again;
-    ASSERT_TRUE(threaded.Execute(plan.ValueOrDie(), &again).ok());
-    EXPECT_EQ(DiffIntermediates(first.result, again.result), "") << rep;
+  ASSERT_TRUE(one.Execute(plan.ValueOrDie(), &first).ok());
+  for (int workers : kFleets) {
+    Evaluator fleet(ExecOptions{}, Fleet(workers));
+    for (int rep = 0; rep < 5; ++rep) {
+      EvalResult again;
+      ASSERT_TRUE(fleet.Execute(plan.ValueOrDie(), &again).ok());
+      EXPECT_EQ(DiffIntermediates(first.result, again.result), "")
+          << "workers=" << workers << " rep " << rep;
+      ASSERT_EQ(first.metrics.size(), again.metrics.size());
+      for (size_t i = 0; i < first.metrics.size(); ++i) {
+        EXPECT_EQ(first.metrics[i].node_id, again.metrics[i].node_id) << i;
+      }
+    }
   }
 }
 
 TEST_F(ParallelExecTest, ErrorsPropagateFromWorkerThreads) {
+  // Three independent leaf selects form the first wave, so they run
+  // concurrently; two of them fail (LIKE on a non-string column). Every
+  // fleet must return the same error — the failing node with the lowest
+  // topological position — and stay usable afterwards.
   auto ints = Column::MakeInt64("ints", {1, 2, 3, 4});
+  auto more = Column::MakeInt64("more", {5, 6, 7, 8});
   PlanBuilder b("bad");
-  int sel = b.Select(ints.get(), Predicate::Like("x"));  // LIKE on non-string
-  QueryPlan plan = b.Result(sel);
-  Evaluator threaded(ExecOptions{true, 4});
+  int good = b.Select(ints.get(), Predicate::RangeI64(2, 3));
+  int bad1 = b.Select(ints.get(), Predicate::Like("x"));
+  int bad2 = b.Select(more.get(), Predicate::Like("y"));
+  int c0 = b.AggScalar(AggFn::kCount, good);
+  int c1 = b.AggScalar(AggFn::kCount, bad1);
+  int c2 = b.AggScalar(AggFn::kCount, bad2);
+  int sum = b.Map2(MapFn::kAdd, b.Map2(MapFn::kAdd, c0, c1), c2);
+  QueryPlan plan = b.Result(sum);
+
+  Evaluator one(ExecOptions{}, Fleet(1));
   EvalResult er;
-  Status st = threaded.Execute(plan, &er);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  // The evaluator must remain usable after a failed parallel run.
-  PlanBuilder b2("good");
-  int sel2 = b2.Select(ints.get(), Predicate::RangeI64(2, 3));
-  QueryPlan plan2 = b2.Result(sel2);
-  EvalResult er2;
-  ASSERT_TRUE(threaded.Execute(plan2, &er2).ok());
-  EXPECT_EQ(er2.result.rowids, (std::vector<oid>{1, 2}));
+  const Status want = one.Execute(plan, &er);
+  ASSERT_FALSE(want.ok());
+  EXPECT_EQ(want.code(), StatusCode::kInvalidArgument);
+  for (int workers : kFleets) {
+    Evaluator fleet(ExecOptions{}, Fleet(workers));
+    for (int rep = 0; rep < 5; ++rep) {
+      EvalResult bad;
+      const Status st = fleet.Execute(plan, &bad);
+      ASSERT_FALSE(st.ok()) << "workers=" << workers;
+      EXPECT_EQ(st.code(), want.code()) << "workers=" << workers;
+      EXPECT_EQ(st.message(), want.message()) << "workers=" << workers;
+    }
+    // The evaluator must remain usable after a failed parallel run.
+    PlanBuilder b2("good");
+    int sel2 = b2.Select(ints.get(), Predicate::RangeI64(2, 3));
+    QueryPlan plan2 = b2.Result(sel2);
+    EvalResult er2;
+    ASSERT_TRUE(fleet.Execute(plan2, &er2).ok());
+    EXPECT_EQ(er2.result.rowids, (std::vector<oid>{1, 2}));
+  }
 }
 
 TEST_F(ParallelExecTest, SharedHashCacheBuildsOnce) {
@@ -189,7 +185,7 @@ TEST_F(ParallelExecTest, SharedHashCacheBuildsOnce) {
   HeuristicParallelizer hp(HeuristicConfig{.dop = 8});
   auto plan = hp.Parallelize(q9.ValueOrDie());
   ASSERT_TRUE(plan.ok());
-  Evaluator threaded(ExecOptions{true, 4});
+  Evaluator threaded(ExecOptions{}, Fleet(4));
   EvalResult er1, er2;
   ASSERT_TRUE(threaded.Execute(plan.ValueOrDie(), &er1).ok());
   ASSERT_TRUE(threaded.Execute(plan.ValueOrDie(), &er2).ok());
@@ -203,21 +199,19 @@ TEST_F(ParallelExecTest, SharedHashCacheBuildsOnce) {
 // ---- morsel-driven intra-operator execution --------------------------------
 
 TEST_F(ParallelExecTest, MorselExecutionIsDeterministicAcrossWorkerCounts) {
-  // An *unmutated* serial plan: without morsels it runs on one core; with
-  // them, its dense select / fetch-join split across the scheduler. Results
-  // must be bit-identical to whole-column execution at every worker count.
+  // An *unmutated* serial plan: in one morsel each operator runs on one
+  // core; at 512 rows its dense select / fetch-join split across the fleet.
+  // Results must be bit-identical to whole-column execution at every worker
+  // count.
   for (const auto& name : Tpch::QueryNames()) {
     auto plan = Tpch::Query(*cat_, name);
     ASSERT_TRUE(plan.ok()) << name;
-    Evaluator whole;  // kernels, whole-column
+    Evaluator whole(WholeColumn());
     EvalResult base;
     ASSERT_TRUE(whole.Execute(plan.ValueOrDie(), &base).ok()) << name;
-    for (int workers : {1, 2, 4, 8}) {
-      ExecOptions o;
-      o.use_morsels = true;
-      o.morsel_rows = 512;  // lineitem_rows = 6000: every dense scan splits
-      o.morsel_workers = workers;
-      Evaluator morsel(o);
+    for (int workers : kFleets) {
+      // lineitem_rows = 6000: every dense scan splits.
+      Evaluator morsel(MorselRows(512), Fleet(workers));
       EvalResult got;
       ASSERT_TRUE(morsel.Execute(plan.ValueOrDie(), &got).ok())
           << name << " workers=" << workers;
@@ -232,29 +226,16 @@ TEST_F(ParallelExecTest, MorselExecutionIsDeterministicAcrossWorkerCounts) {
   }
 }
 
-TEST_F(ParallelExecTest, MorselsComposeWithNodePoolExecution) {
-  // Both parallelism axes at once: exchange clones on the node pool, each
-  // clone's scan split into morsels on the shared morsel scheduler.
+TEST_F(ParallelExecTest, MorselsComposeWithNodeWaves) {
+  // Both parallelism axes at once on one fleet: exchange clones run as one
+  // node wave, each clone's scan splits into morsels (nested ParallelFor).
   auto q6 = Tpch::Q6(*cat_);
   ASSERT_TRUE(q6.ok());
   HeuristicParallelizer hp(HeuristicConfig{.dop = 4});
   auto plan = hp.Parallelize(q6.ValueOrDie());
   ASSERT_TRUE(plan.ok());
-
-  Evaluator serial(ExecOptions{true, 1});
-  EvalResult base;
-  ASSERT_TRUE(serial.Execute(plan.ValueOrDie(), &base).ok());
-
-  ExecOptions o;
-  o.num_threads = 4;
-  o.use_morsels = true;
-  o.morsel_rows = 256;
-  o.morsel_workers = 4;
-  Evaluator both(o);
   for (int rep = 0; rep < 3; ++rep) {
-    EvalResult got;
-    ASSERT_TRUE(both.Execute(plan.ValueOrDie(), &got).ok()) << rep;
-    EXPECT_EQ(DiffIntermediates(base.result, got.result), "") << rep;
+    ExpectFleetsMatchOneWorker(plan.ValueOrDie(), MorselRows(256));
   }
 }
 
@@ -271,12 +252,7 @@ TEST_F(ParallelExecTest, ConcurrentQueriesMultiplexOneScheduler) {
   ASSERT_TRUE(whole.Execute(q6.ValueOrDie(), &base6).ok());
   ASSERT_TRUE(whole.Execute(q14.ValueOrDie(), &base14).ok());
 
-  ExecOptions o;
-  o.use_morsels = true;
-  o.morsel_rows = 512;
-  Evaluator e6(o), e14(o);
-  e6.set_morsel_scheduler(sched);
-  e14.set_morsel_scheduler(sched);
+  Evaluator e6(MorselRows(512), sched), e14(MorselRows(512), sched);
 
   std::thread t6([&] {
     for (int rep = 0; rep < 4; ++rep) {
@@ -299,9 +275,9 @@ TEST_F(ParallelExecTest, ConcurrentQueriesMultiplexOneScheduler) {
 
 TEST_F(ParallelExecTest, ConcurrentFirstBuildsOfDifferentInnersDontSerialize) {
   // The per-column build latch: one plan with two joins over *different*
-  // inner columns, executed on the node pool — the two first builds run
-  // concurrently (previously serialized under the single cache mutex). Each
-  // inner is built exactly once and the cache stays warm afterwards.
+  // inner columns in one node wave — the two first builds run concurrently
+  // (previously serialized under the single cache mutex). Each inner is
+  // built exactly once and the cache stays warm afterwards.
   auto fk1 = Column::MakeInt64("fk1", std::vector<int64_t>(4000, 1));
   auto fk2 = Column::MakeInt64("fk2", std::vector<int64_t>(4000, 2));
   std::vector<int64_t> pk1v(512), pk2v(1024);
@@ -318,7 +294,7 @@ TEST_F(ParallelExecTest, ConcurrentFirstBuildsOfDifferentInnersDontSerialize) {
   int sum = b.Map2(MapFn::kAdd, c1, c2);
   QueryPlan plan = b.Result(sum);
 
-  Evaluator threaded(ExecOptions{true, 4});
+  Evaluator threaded(ExecOptions{}, Fleet(4));
   EvalResult er;
   ASSERT_TRUE(threaded.Execute(plan, &er).ok());
   EXPECT_DOUBLE_EQ(er.result.scalar, 8000.0);
@@ -342,16 +318,11 @@ TEST_F(ParallelExecTest, ParallelAggProbeCoversTpchAcrossWorkerCounts) {
   for (const auto& name : Tpch::QueryNames()) {
     auto plan = Tpch::Query(*cat_, name);
     ASSERT_TRUE(plan.ok()) << name;
-    Evaluator whole;  // kernels, whole-column
+    Evaluator whole(WholeColumn());
     EvalResult base;
     ASSERT_TRUE(whole.Execute(plan.ValueOrDie(), &base).ok()) << name;
-    for (int workers : {1, 2, 4, 8}) {
-      ExecOptions o;
-      o.use_morsels = true;
-      o.morsel_rows = 256;
-      o.morsel_workers = workers;
-      o.use_parallel_agg = true;
-      Evaluator par(o);
+    for (int workers : kFleets) {
+      Evaluator par(MorselRows(256), Fleet(workers));
       EvalResult got;
       ASSERT_TRUE(par.Execute(plan.ValueOrDie(), &got).ok())
           << name << " workers=" << workers;
@@ -371,35 +342,18 @@ TEST_F(ParallelExecTest, ParallelAggProbeCoversTpchAcrossWorkerCounts) {
   EXPECT_TRUE(saw_join) << "no TPC-H join probe ran morsel-parallel";
 }
 
-TEST_F(ParallelExecTest, ParallelAggComposesWithNodePoolExecution) {
-  // Exchange clones on the node pool while each clone's probe/ingest splits
-  // on the shared morsel scheduler — Q9 (join + group-by heavy) and Q14
-  // (join heavy) under both axes at once.
+TEST_F(ParallelExecTest, ParallelAggComposesWithNodeWaves) {
+  // Exchange clones in one node wave while each clone's probe/ingest splits
+  // on the same fleet — Q9 (join + group-by heavy) and Q14 (join heavy)
+  // under both axes at once.
   for (const char* name : {"Q9", "Q14"}) {
+    SCOPED_TRACE(name);
     auto q = Tpch::Query(*cat_, name);
-    ASSERT_TRUE(q.ok()) << name;
+    ASSERT_TRUE(q.ok());
     HeuristicParallelizer hp(HeuristicConfig{.dop = 4});
     auto plan = hp.Parallelize(q.ValueOrDie());
-    ASSERT_TRUE(plan.ok()) << name;
-
-    Evaluator serial(ExecOptions{true, 1});
-    EvalResult base;
-    ASSERT_TRUE(serial.Execute(plan.ValueOrDie(), &base).ok()) << name;
-
-    ExecOptions o;
-    o.num_threads = 4;
-    o.use_morsels = true;
-    o.morsel_rows = 256;
-    o.morsel_workers = 4;
-    o.use_parallel_agg = true;
-    Evaluator both(o);
-    for (int rep = 0; rep < 3; ++rep) {
-      EvalResult got;
-      ASSERT_TRUE(both.Execute(plan.ValueOrDie(), &got).ok())
-          << name << " rep " << rep;
-      EXPECT_EQ(DiffIntermediates(base.result, got.result), "")
-          << name << " rep " << rep;
-    }
+    ASSERT_TRUE(plan.ok());
+    ExpectFleetsMatchOneWorker(plan.ValueOrDie(), MorselRows(256));
   }
 }
 
@@ -413,16 +367,12 @@ TEST_F(ParallelExecTest, ParallelSortCoversOrderedTpchQueries) {
   for (const char* name : {"Q4", "Q6", "Q9", "Q22"}) {
     auto plan = Tpch::Query(*cat_, name);
     ASSERT_TRUE(plan.ok()) << name;
-    Evaluator whole;  // kernels, whole-column
+    Evaluator whole(WholeColumn());
     EvalResult base;
     ASSERT_TRUE(whole.Execute(plan.ValueOrDie(), &base).ok()) << name;
-    for (int workers : {1, 2, 4, 8}) {
-      ExecOptions o;
-      o.use_morsels = true;
-      o.morsel_rows = 4;  // splits even the 5-priority / 25-nation sorts
-      o.morsel_workers = workers;
-      o.use_parallel_sort = true;
-      Evaluator par(o);
+    for (int workers : kFleets) {
+      // 4-row morsels split even the 5-priority / 25-nation sorts.
+      Evaluator par(MorselRows(4), Fleet(workers));
       EvalResult got;
       ASSERT_TRUE(par.Execute(plan.ValueOrDie(), &got).ok())
           << name << " workers=" << workers;
@@ -442,10 +392,7 @@ TEST_F(ParallelExecTest, ParallelSortCoversOrderedTpchQueries) {
   }
   // APQ_FORCE_MORSELS overrides the 4-row morsel size; the tiny grouped
   // sorts only split when the override is absent (or just as small).
-  ExecOptions probe_o;
-  probe_o.use_morsels = true;
-  probe_o.morsel_rows = 4;
-  if (Evaluator(probe_o).EffectiveMorselRows() <= 8) {
+  if (Evaluator(MorselRows(4)).EffectiveMorselRows() <= 8) {
     EXPECT_TRUE(saw_sort) << "no TPC-H sort ran morsel-parallel";
   }
 }

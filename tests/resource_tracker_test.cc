@@ -206,10 +206,8 @@ TEST(ResourceTrackerTest, EvaluatorChargesReturnToZeroAcrossWorkerCounts) {
     ASSERT_TRUE(plan.ok()) << qname;
     for (int workers : {1, 2, 4, 8}) {
       ExecOptions o;
-      o.use_morsels = true;
       o.morsel_rows = 512;
-      o.morsel_workers = workers;
-      Evaluator ev(o);
+      Evaluator ev(o, std::make_shared<MorselScheduler>(workers));
 
       const uint64_t id = obs::NextQueryId();
       EvalResult er;
@@ -245,6 +243,51 @@ TEST(ResourceTrackerTest, EvaluatorChargesReturnToZeroAcrossWorkerCounts) {
 
       obs::FinishQuery(id);
       EXPECT_FALSE(obs::SnapshotQueryResources(id, &qr));
+    }
+  }
+}
+
+// Node waves run on the same fleet as morsel tasks, but only the nodes bill:
+// an operator bills its morsel tasks, or its wall time when it ran
+// whole-column. Every nanosecond the query is billed therefore belongs to
+// exactly one operator — a node task billing its own duration on top would
+// count its morsels twice.
+TEST(ResourceTrackerTest, NodeWavesBillEveryNanosecondOnce) {
+  AccountingGuard guard;
+  obs::SetAccountingEnabled(true);
+  TpchConfig cfg;
+  cfg.lineitem_rows = 6000;
+  auto cat = Tpch::Generate(cfg);
+  Engine planner;
+
+  for (const char* qname : {"Q6", "Q9", "Q14"}) {
+    auto serial = Tpch::Query(*cat, qname);
+    ASSERT_TRUE(serial.ok()) << qname;
+    auto plan = planner.HeuristicPlan(serial.ValueOrDie(), 4);
+    ASSERT_TRUE(plan.ok()) << qname;
+    for (int workers : {1, 2, 4, 8}) {
+      ExecOptions o;
+      o.morsel_rows = 512;
+      Evaluator ev(o, std::make_shared<MorselScheduler>(workers));
+      const uint64_t id = obs::NextQueryId();
+      EvalResult er;
+      {
+        obs::QueryIdScope qid(id);
+        ASSERT_TRUE(ev.Execute(plan.ValueOrDie(), &er).ok())
+            << qname << " workers=" << workers;
+      }
+      obs::QueryResources qr;
+      ASSERT_TRUE(obs::SnapshotQueryResources(id, &qr));
+      uint64_t op_cpu = 0, op_wait = 0;
+      for (const auto& m : er.metrics) {
+        op_cpu += m.cpu_ns;
+        op_wait += m.queue_wait_ns;
+      }
+      EXPECT_EQ(qr.cpu_ns, op_cpu) << qname << " workers=" << workers;
+      EXPECT_EQ(qr.queue_wait_ns, op_wait)
+          << qname << " workers=" << workers;
+      EXPECT_EQ(qr.cur_bytes, 0u) << qname << " workers=" << workers;
+      obs::FinishQuery(id);
     }
   }
 }
@@ -314,9 +357,8 @@ TEST(ResourceTrackerTest, EngineRecordsResourcesAndRetiresBlocks) {
   ASSERT_TRUE(q6.ok());
 
   EngineConfig ecfg = EngineConfig::WithSim(SimConfig::Cores(8, 4));
-  ecfg.use_morsels = true;
   ecfg.morsel_rows = 512;
-  ecfg.morsel_workers = 4;
+  ecfg.morsel_scheduler = std::make_shared<MorselScheduler>(4);
   Engine engine(ecfg);
 
   const size_t live0 = obs::LiveQueryResourceCount();
@@ -356,7 +398,7 @@ TEST(ResourceTrackerTest, TpchSuiteBitIdenticalAccountingOnAndOff) {
     auto plan = Tpch::Query(*cat, name);
     ASSERT_TRUE(plan.ok()) << name;
 
-    // Baseline: accounting off, whole-column kernels.
+    // Baseline: accounting off, default morsels (whole-column here).
     obs::SetAccountingEnabled(false);
     Evaluator base_ev(ExecOptions{});
     EvalResult base;
@@ -364,19 +406,18 @@ TEST(ResourceTrackerTest, TpchSuiteBitIdenticalAccountingOnAndOff) {
 
     for (int workers : {1, 2, 4, 8}) {
       ExecOptions o;
-      o.use_morsels = true;
       o.morsel_rows = 512;
-      o.morsel_workers = workers;
+      auto fleet = std::make_shared<MorselScheduler>(workers);
 
       obs::SetAccountingEnabled(false);
-      Evaluator off_ev(o);
+      Evaluator off_ev(o, fleet);
       EvalResult off;
       ASSERT_TRUE(off_ev.Execute(plan.ValueOrDie(), &off).ok())
           << name << " workers=" << workers;
 
       obs::SetAccountingEnabled(true);
       const uint64_t id = obs::NextQueryId();
-      Evaluator on_ev(o);
+      Evaluator on_ev(o, fleet);
       EvalResult on;
       {
         obs::QueryIdScope qid(id);

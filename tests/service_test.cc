@@ -464,12 +464,10 @@ TEST(QueryServiceTest, DebugJsonCarriesAdmissionState) {
 TEST(QueryServiceTest, ServedResultsAreBitIdenticalToDirectExecution) {
   auto catalog = TestCatalog();
 
-  // Direct reference: a plain morsel engine with its own fleet.
+  // Direct reference: a default engine on the process-wide fleet.
   std::map<std::string, std::string> reference;
   {
-    EngineConfig cfg;
-    cfg.use_morsels = true;
-    Engine engine(cfg);
+    Engine engine;
     for (const std::string& name : Tpch::QueryNames()) {
       auto plan = Tpch::Query(*catalog, name);
       ASSERT_TRUE(plan.ok());

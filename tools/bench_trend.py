@@ -13,6 +13,10 @@ but never fail the check, so adding or retiring benchmarks does not break
 the trend step; aggregate rows (_mean/_median/_stddev/_cv) are ignored in
 favour of the raw repetitions.
 
+When the two files come from different hosts (context.num_cpus or
+context.library_build_type differ) the report carries a HOST MISMATCH line:
+the ratios then compare machines, not code. It changes no exit code.
+
 The committed BENCH_*.json seeds at the repo root are the trajectory:
 regenerate them with the same invocation CI uses (see .github/workflows/
 ci.yml "Bench smoke") whenever a deliberate perf change lands, and note the
@@ -24,12 +28,21 @@ import json
 import sys
 
 AGGREGATE_SUFFIXES = ("_mean", "_median", "_stddev", "_cv", "_min", "_max")
+# Host facts that make two benchmark files incomparable when they differ.
+HOST_KEYS = ("num_cpus", "library_build_type")
+
+
+def load_json(path):
+    with open(path) as f:
+        return json.load(f)
 
 
 def load_throughputs(path):
     """name -> throughput (items/s, or 1/real_time as a fallback)."""
-    with open(path) as f:
-        data = json.load(f)
+    return throughputs(load_json(path))
+
+
+def throughputs(data):
     out = {}
     for bm in data.get("benchmarks", []):
         name = bm.get("name", "")
@@ -48,6 +61,14 @@ def load_throughputs(path):
     return out
 
 
+def host_mismatch(base_data, fresh_data):
+    """'key baseline vs fresh' for every HOST_KEYS entry that differs."""
+    base_ctx = base_data.get("context") or {}
+    fresh_ctx = fresh_data.get("context") or {}
+    return ["%s %s vs %s" % (k, base_ctx.get(k), fresh_ctx.get(k))
+            for k in HOST_KEYS if base_ctx.get(k) != fresh_ctx.get(k)]
+
+
 def main():
     ap = argparse.ArgumentParser(
         description="Fail on >threshold throughput regression vs a "
@@ -63,8 +84,10 @@ def main():
     # regression) so CI can tell "the bench run produced garbage" apart from
     # "the code got slower".
     try:
-        base = load_throughputs(args.baseline)
-        fresh = load_throughputs(args.fresh)
+        base_data = load_json(args.baseline)
+        fresh_data = load_json(args.fresh)
+        base = throughputs(base_data)
+        fresh = throughputs(fresh_data)
     except (OSError, json.JSONDecodeError) as e:
         print("bench_trend: cannot load benchmark JSON: %s" % e,
               file=sys.stderr)
@@ -99,6 +122,10 @@ def main():
             return "%7.2fM/s" % (v / 1e6)
         return "%7.0f/s " % v
 
+    mismatch = host_mismatch(base_data, fresh_data)
+    if mismatch:
+        print("HOST MISMATCH: %s (ratios compare hosts, not code)" %
+              "; ".join(mismatch))
     print("%-*s  %10s  %10s  %7s  %s" %
           (width, "benchmark", "baseline", "fresh", "ratio", "status"))
     for name, b, f, status in rows:

@@ -4,9 +4,12 @@
 Covers the exit-code contract CI relies on: 0 = no regression, 1 =
 regression beyond threshold, 2 = unreadable/malformed input; plus the
 filtering rules (aggregate rows ignored, new/gone benchmarks never fail,
-items_per_second preferred with a 1/real_time fallback).
+items_per_second preferred with a 1/real_time fallback); and the HOST
+MISMATCH report line.
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -17,8 +20,11 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_trend  # noqa: E402
 
 
-def bench_json(entries):
-    return {"benchmarks": entries}
+def bench_json(entries, context=None):
+    out = {"benchmarks": entries}
+    if context is not None:
+        out["context"] = context
+    return out
 
 
 def bm(name, items=None, real_time=None, run_type=None):
@@ -52,10 +58,15 @@ class BenchTrendTest(unittest.TestCase):
             argv += ["--threshold", str(threshold)]
         old_argv = sys.argv
         sys.argv = argv
+        out = io.StringIO()
         try:
-            return bench_trend.main()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = bench_trend.main()
         finally:
             sys.argv = old_argv
+        self.last_report = out.getvalue()
+        return code
 
     def test_no_regression_exits_zero(self):
         base = self.write("base.json", bench_json([bm("select", items=100.0)]))
@@ -115,6 +126,31 @@ class BenchTrendTest(unittest.TestCase):
         self.assertEqual(bench_trend.load_throughputs(base),
                          {"noitems": 0.1})
         self.assertEqual(self.run_main(base, fresh), 1)
+
+
+    def test_host_mismatch_is_reported_without_changing_exit_codes(self):
+        seed = {"num_cpus": 1, "library_build_type": "debug"}
+        host = {"num_cpus": 4, "library_build_type": "release"}
+        base = self.write("base.json", bench_json(
+            [bm("select", items=100.0)], seed))
+        same = self.write("same.json", bench_json(
+            [bm("select", items=95.0)], dict(seed)))
+        self.assertEqual(self.run_main(base, same), 0)
+        self.assertNotIn("HOST MISMATCH", self.last_report)
+
+        ok = self.write("ok.json", bench_json([bm("select", items=95.0)], host))
+        self.assertEqual(self.run_main(base, ok), 0)
+        self.assertIn("HOST MISMATCH", self.last_report)
+        self.assertIn("num_cpus 1 vs 4", self.last_report)
+        self.assertIn("library_build_type debug vs release", self.last_report)
+
+        slow = self.write("slow.json", bench_json(
+            [bm("select", items=70.0)], {"num_cpus": 1,
+                                         "library_build_type": "release"}))
+        self.assertEqual(self.run_main(base, slow), 1)
+        self.assertIn("HOST MISMATCH: library_build_type debug vs release",
+                      self.last_report)
+        self.assertNotIn("num_cpus", self.last_report)
 
 
 if __name__ == "__main__":
