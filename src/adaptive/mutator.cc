@@ -1,6 +1,7 @@
 #include "adaptive/mutator.h"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "util/table_printer.h"
@@ -80,7 +81,38 @@ bool IsPropagatableConsumer(const QueryPlan& plan, const PlanNode& c,
   }
 }
 
+// True when `work` still has `plan`'s nodes and edges: mutations only append
+// nodes and edit inputs, so this tells an untouched copy from an edited one.
+bool SameEdges(const QueryPlan& plan, const QueryPlan& work) {
+  if (plan.num_nodes() != work.num_nodes()) return false;
+  for (int id = 0; id < plan.num_nodes(); ++id) {
+    if (plan.node(id).inputs != work.node(id).inputs) return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+/// Consumer lists of the plan a mutation step edits: one ConsumerIndex, built
+/// on the first lookup and rebuilt only after an edit changes the inputs of a
+/// node already in the plan. Appending a node needs no rebuild: nothing reads
+/// a new node before such an edit, so it is unreachable and consumes nothing.
+/// Lookups therefore answer exactly what QueryPlan::Consumers would.
+class Mutator::Consumers {
+ public:
+  explicit Consumers(const QueryPlan* plan) : plan_(plan) {}
+
+  std::vector<int> Of(int id) {
+    if (!index_.has_value()) index_.emplace(*plan_);
+    return index_->Of(id);
+  }
+
+  void InputsChanged() { index_.reset(); }
+
+ private:
+  const QueryPlan* plan_;
+  std::optional<ConsumerIndex> index_;
+};
 
 RowRange Mutator::StaticOrigin(const QueryPlan& plan, int node_id) {
   const PlanNode& n = plan.node(node_id);
@@ -111,7 +143,9 @@ RowRange Mutator::StaticOrigin(const QueryPlan& plan, int node_id) {
   return RowRange{0, 0};
 }
 
-void Mutator::RewireConsumers(QueryPlan* plan, int old_id, int new_id) {
+void Mutator::RewireConsumers(QueryPlan* plan, Consumers* consumers,
+                              int old_id, int new_id) {
+  consumers->InputsChanged();
   for (int i = 0; i < plan->num_nodes(); ++i) {
     if (i == new_id) continue;
     for (int& in : plan->node(i).inputs) {
@@ -314,10 +348,11 @@ StatusOr<std::vector<RowRange>> Mutator::PlanPieces(const QueryPlan& plan,
 Status Mutator::SplitNode(QueryPlan* plan, int node_id, int ways) {
   auto pieces = PlanPieces(*plan, node_id, ways, nullptr, nullptr);
   if (!pieces.ok()) return pieces.status();
-  return SplitNodeAt(plan, node_id, pieces.ValueOrDie());
+  Consumers consumers(plan);
+  return SplitNodeAt(plan, &consumers, node_id, pieces.ValueOrDie());
 }
 
-Status Mutator::SplitNodeAt(QueryPlan* plan, int node_id,
+Status Mutator::SplitNodeAt(QueryPlan* plan, Consumers* consumers, int node_id,
                             const std::vector<RowRange>& pieces) {
   if (pieces.size() < 2) {
     return Status::InvalidArgument("split needs at least 2 pieces");
@@ -353,12 +388,13 @@ Status Mutator::SplitNodeAt(QueryPlan* plan, int node_id,
 
   // Wire the clones: splice into an existing union consumer in place of the
   // split node (preserving partition order) or introduce a new union.
-  std::vector<int> consumers = plan->Consumers(node_id);
+  const std::vector<int> readers = consumers->Of(node_id);
   bool spliced = false;
-  if (consumers.size() == 1 && IsUnion(*plan, consumers[0])) {
-    PlanNode& u = plan->node(consumers[0]);
+  if (readers.size() == 1 && IsUnion(*plan, readers[0])) {
+    PlanNode& u = plan->node(readers[0]);
     auto it = std::find(u.inputs.begin(), u.inputs.end(), node_id);
     if (it != u.inputs.end()) {
+      consumers->InputsChanged();
       size_t pos = static_cast<size_t>(it - u.inputs.begin());
       u.inputs.erase(it);
       u.inputs.insert(u.inputs.begin() + pos, clone_ids.begin(),
@@ -372,7 +408,7 @@ Status Mutator::SplitNodeAt(QueryPlan* plan, int node_id,
     u.inputs = clone_ids;
     u.label = "pack(" + node.label + ")";
     int u_id = plan->AddNode(u);
-    RewireConsumers(plan, node_id, u_id);
+    RewireConsumers(plan, consumers, node_id, u_id);
     // Exclude the clones themselves (they copied the original inputs, not
     // node_id; nothing to undo).
     for (int cid : clone_ids) {
@@ -386,6 +422,12 @@ Status Mutator::SplitNodeAt(QueryPlan* plan, int node_id,
 }
 
 Status Mutator::PropagateUnion(QueryPlan* plan, int union_id, int max_fanin) {
+  Consumers consumers(plan);
+  return PropagateUnion(plan, &consumers, union_id, max_fanin);
+}
+
+Status Mutator::PropagateUnion(QueryPlan* plan, Consumers* consumers,
+                               int union_id, int max_fanin) {
   const PlanNode u = plan->node(union_id);  // copy
   if (u.kind != OpKind::kExchangeUnion) {
     return Status::InvalidArgument("node is not an exchange union");
@@ -396,9 +438,9 @@ Status Mutator::PropagateUnion(QueryPlan* plan, int union_id, int max_fanin) {
         "union removal suppressed: fan-in " + std::to_string(u.inputs.size()) +
         " exceeds threshold " + std::to_string(threshold));
   }
-  std::vector<int> consumers = plan->Consumers(union_id);
-  if (consumers.empty()) return Status::Unsupported("union has no consumers");
-  for (int cid : consumers) {
+  const std::vector<int> readers = consumers->Of(union_id);
+  if (readers.empty()) return Status::Unsupported("union has no consumers");
+  for (int cid : readers) {
     const PlanNode& c = plan->node(cid);
     if (c.kind == OpKind::kResult || c.kind == OpKind::kAggrMerge ||
         c.kind == OpKind::kExchangeUnion || c.kind == OpKind::kAggrMerge) {
@@ -417,15 +459,15 @@ Status Mutator::PropagateUnion(QueryPlan* plan, int union_id, int max_fanin) {
   }
 
   const size_t fanin = u.inputs.size();
-  for (int cid : consumers) {
+  for (int cid : readers) {
     const PlanNode c = plan->node(cid);  // copy
     if (c.kind == OpKind::kGroupBy) {
       // Delegate: parallelizing through a group-by is the advanced mutation.
-      APQ_RETURN_NOT_OK(AdvancedGroupBy(plan, cid));
+      APQ_RETURN_NOT_OK(AdvancedGroupBy(plan, consumers, cid));
       continue;
     }
     if (c.kind == OpKind::kSort || c.kind == OpKind::kTopN) {
-      APQ_RETURN_NOT_OK(AdvancedSort(plan, cid));
+      APQ_RETURN_NOT_OK(AdvancedSort(plan, consumers, cid));
       continue;
     }
     // Identify which input slots reference the union; binary ops may pair
@@ -459,15 +501,21 @@ Status Mutator::PropagateUnion(QueryPlan* plan, int union_id, int max_fanin) {
       merge.inputs = {pack_id};
       merge.label = "merge(" + std::string(AggFnName(c.agg_fn)) + ")";
       int merge_id = plan->AddNode(merge);
-      RewireConsumers(plan, cid, merge_id);
+      RewireConsumers(plan, consumers, cid, merge_id);
     } else {
-      RewireConsumers(plan, cid, pack_id);
+      RewireConsumers(plan, consumers, cid, pack_id);
     }
   }
   return Status::OK();
 }
 
 Status Mutator::AdvancedGroupBy(QueryPlan* plan, int groupby_id) {
+  Consumers consumers(plan);
+  return AdvancedGroupBy(plan, &consumers, groupby_id);
+}
+
+Status Mutator::AdvancedGroupBy(QueryPlan* plan, Consumers* consumers,
+                                int groupby_id) {
   const PlanNode gb = plan->node(groupby_id);  // copy
   if (gb.kind != OpKind::kGroupBy) {
     return Status::InvalidArgument("node is not a group-by");
@@ -482,7 +530,7 @@ Status Mutator::AdvancedGroupBy(QueryPlan* plan, int groupby_id) {
 
   // All consumers must be aggregates whose optional value input is a union of
   // matching fan-in.
-  std::vector<int> agg_ids = plan->Consumers(groupby_id);
+  const std::vector<int> agg_ids = consumers->Of(groupby_id);
   if (agg_ids.empty()) return Status::Unsupported("group-by has no consumers");
   for (int aid : agg_ids) {
     const PlanNode& a = plan->node(aid);
@@ -535,12 +583,18 @@ Status Mutator::AdvancedGroupBy(QueryPlan* plan, int groupby_id) {
     merge.inputs = {pack_id};
     merge.label = "merge(" + std::string(AggFnName(a.agg_fn)) + ")";
     int merge_id = plan->AddNode(merge);
-    RewireConsumers(plan, aid, merge_id);
+    RewireConsumers(plan, consumers, aid, merge_id);
   }
   return Status::OK();
 }
 
 Status Mutator::AdvancedSort(QueryPlan* plan, int sort_id) {
+  Consumers consumers(plan);
+  return AdvancedSort(plan, &consumers, sort_id);
+}
+
+Status Mutator::AdvancedSort(QueryPlan* plan, Consumers* consumers,
+                             int sort_id) {
   const PlanNode s = plan->node(sort_id);  // copy
   if (s.kind != OpKind::kSort && s.kind != OpKind::kTopN) {
     return Status::InvalidArgument("node is not a sort/top-n");
@@ -571,7 +625,7 @@ Status Mutator::AdvancedSort(QueryPlan* plan, int sort_id) {
   merge.inputs = {pack_id};
   merge.label = "mergesort";
   int merge_id = plan->AddNode(merge);
-  RewireConsumers(plan, sort_id, merge_id);
+  RewireConsumers(plan, consumers, sort_id, merge_id);
   // The clones copied s's input; restore their per-partition inputs (done at
   // creation) — but RewireConsumers above may have redirected them if they
   // read sort_id, which they do not.
@@ -602,6 +656,13 @@ void Mutator::FlattenUnions(QueryPlan* plan) {
 
 Status Mutator::SplitAligned(QueryPlan* plan, int node_id, int ways,
                              const OpProfile* prof, MutationReport* report) {
+  Consumers consumers(plan);
+  return SplitAligned(plan, &consumers, node_id, ways, prof, report);
+}
+
+Status Mutator::SplitAligned(QueryPlan* plan, Consumers* consumers,
+                             int node_id, int ways, const OpProfile* prof,
+                             MutationReport* report) {
   const PlanNode before = plan->node(node_id);  // copy
   RowRange before_range = before.has_slice
                               ? before.slice
@@ -609,13 +670,13 @@ Status Mutator::SplitAligned(QueryPlan* plan, int node_id, int ways,
 
   // Pre-split context: position within an existing union, and the nodes that
   // consume this node's output (where pairing partners are found).
-  std::vector<int> consumers = plan->Consumers(node_id);
+  const std::vector<int> readers = consumers->Of(node_id);
   int union_id = -1;
   size_t pos = 0;
   size_t union_size_before = 0;
-  if (consumers.size() == 1 &&
-      plan->node(consumers[0]).kind == OpKind::kExchangeUnion) {
-    union_id = consumers[0];
+  if (readers.size() == 1 &&
+      plan->node(readers[0]).kind == OpKind::kExchangeUnion) {
+    union_id = readers[0];
     const auto& ins = plan->node(union_id).inputs;
     pos = static_cast<size_t>(
         std::find(ins.begin(), ins.end(), node_id) - ins.begin());
@@ -629,7 +690,7 @@ Status Mutator::SplitAligned(QueryPlan* plan, int node_id, int ways,
   auto pieces_or = PlanPieces(*plan, node_id, ways, prof, &skewed);
   if (!pieces_or.ok()) return pieces_or.status();
   const std::vector<RowRange> pieces = pieces_or.MoveValueOrDie();
-  APQ_RETURN_NOT_OK(SplitNodeAt(plan, node_id, pieces));
+  APQ_RETURN_NOT_OK(SplitNodeAt(plan, consumers, node_id, pieces));
   if (report != nullptr) {
     report->skew_aware = skewed;
     report->split_rows.clear();
@@ -654,8 +715,8 @@ Status Mutator::SplitAligned(QueryPlan* plan, int node_id, int ways,
 
   // Nodes whose output is paired positionally with this node's output.
   std::vector<int> partner_sources;
-  std::vector<int> pair_consumers =
-      union_id >= 0 ? plan->Consumers(union_id) : consumers;
+  const std::vector<int> pair_consumers =
+      union_id >= 0 ? consumers->Of(union_id) : readers;
   int self = union_id >= 0 ? union_id : node_id;
   for (int cid : pair_consumers) {
     const PlanNode& c = plan->node(cid);
@@ -663,7 +724,7 @@ Status Mutator::SplitAligned(QueryPlan* plan, int node_id, int ways,
       int other = c.inputs[0] == self ? c.inputs[1] : c.inputs[0];
       if (other != self) partner_sources.push_back(other);
     } else if (c.kind == OpKind::kGroupBy) {
-      for (int aid : plan->Consumers(cid)) {
+      for (int aid : consumers->Of(cid)) {
         const PlanNode& a = plan->node(aid);
         if (a.kind == OpKind::kAggregate && a.inputs.size() == 2 &&
             a.inputs[1] != self) {
@@ -702,7 +763,7 @@ Status Mutator::SplitAligned(QueryPlan* plan, int node_id, int ways,
     if (!(t_range == before_range)) continue;
     // Same pieces as the primary split: partner alignment requires identical
     // boundaries, uniform or skew-derived alike.
-    Status st = SplitNodeAt(plan, target, pieces);
+    Status st = SplitNodeAt(plan, consumers, target, pieces);
     if (!st.ok() && st.code() != StatusCode::kUnsupported) return st;
   }
   return Status::OK();
@@ -744,8 +805,8 @@ int Mutator::FindSplittableAncestor(const QueryPlan& plan, int node_id,
   return best;
 }
 
-Status Mutator::MutateOp(QueryPlan* plan, int node_id, MutationReport* report,
-                         const OpProfile* prof) {
+Status Mutator::MutateOp(QueryPlan* plan, Consumers* consumers, int node_id,
+                         MutationReport* report, const OpProfile* prof) {
   // Copy, not reference: every mutation below AddNode()s into the plan,
   // which may reallocate the node vector — reading `n` afterwards (for the
   // report string, or to continue scanning n.inputs for a union) would be a
@@ -755,8 +816,8 @@ Status Mutator::MutateOp(QueryPlan* plan, int node_id, MutationReport* report,
     case OpKind::kSelect:
     case OpKind::kFetchJoin:
     case OpKind::kJoin: {
-      Status st =
-          SplitAligned(plan, node_id, config_.split_ways, prof, report);
+      Status st = SplitAligned(plan, consumers, node_id, config_.split_ways,
+                               prof, report);
       if (st.ok()) {
         if (report->skew_aware) {
           report->action = "basic-skew";  // detail set by SplitAligned
@@ -771,7 +832,7 @@ Status Mutator::MutateOp(QueryPlan* plan, int node_id, MutationReport* report,
       // removing the union feeding it, if one exists.
       for (int in : n.inputs) {
         if (IsUnion(*plan, in)) {
-          APQ_RETURN_NOT_OK(PropagateUnion(plan, in));
+          APQ_RETURN_NOT_OK(PropagateUnion(plan, consumers, in, -1));
           report->action = "medium";
           report->detail = "propagated input union (unsplittable operator)";
           return Status::OK();
@@ -780,20 +841,20 @@ Status Mutator::MutateOp(QueryPlan* plan, int node_id, MutationReport* report,
       return st;
     }
     case OpKind::kExchangeUnion: {
-      APQ_RETURN_NOT_OK(PropagateUnion(plan, node_id));
+      APQ_RETURN_NOT_OK(PropagateUnion(plan, consumers, node_id, -1));
       report->action = "medium";
       report->detail = "propagated union inputs to consumers";
       return Status::OK();
     }
     case OpKind::kGroupBy: {
-      APQ_RETURN_NOT_OK(AdvancedGroupBy(plan, node_id));
+      APQ_RETURN_NOT_OK(AdvancedGroupBy(plan, consumers, node_id));
       report->action = "advanced";
       report->detail = "cloned group-by + aggregates per partition";
       return Status::OK();
     }
     case OpKind::kSort:
     case OpKind::kTopN: {
-      APQ_RETURN_NOT_OK(AdvancedSort(plan, node_id));
+      APQ_RETURN_NOT_OK(AdvancedSort(plan, consumers, node_id));
       report->action = "advanced";
       report->detail = "per-partition sorts + merge";
       return Status::OK();
@@ -802,7 +863,7 @@ Status Mutator::MutateOp(QueryPlan* plan, int node_id, MutationReport* report,
       // Parallelized by removing the union feeding it.
       for (int in : n.inputs) {
         if (IsUnion(*plan, in)) {
-          APQ_RETURN_NOT_OK(PropagateUnion(plan, in));
+          APQ_RETURN_NOT_OK(PropagateUnion(plan, consumers, in, -1));
           report->action = "medium";
           report->detail = "propagated input union through map";
           return Status::OK();
@@ -813,7 +874,7 @@ Status Mutator::MutateOp(QueryPlan* plan, int node_id, MutationReport* report,
     case OpKind::kAggregate: {
       if (n.inputs.size() == 1 && IsUnion(*plan, n.inputs[0])) {
         int u = n.inputs[0];
-        APQ_RETURN_NOT_OK(PropagateUnion(plan, u));
+        APQ_RETURN_NOT_OK(PropagateUnion(plan, consumers, u, -1));
         report->action = "medium";
         report->detail = "cloned scalar aggregate per partition + merge";
         return Status::OK();
@@ -859,17 +920,31 @@ StatusOr<QueryPlan> Mutator::MutateMostExpensive(const QueryPlan& plan,
     return nullptr;
   };
 
+  // Every attempt edits one copy of the plan and shares one consumer index.
+  // A failed attempt that edited the copy is undone by copying `plan` again,
+  // so each attempt starts from the unmutated plan, as a fresh copy would.
+  QueryPlan mutated = plan.Clone();
+  Consumers consumers(&mutated);
+  auto attempt = [&](int node_id, const OpProfile* prof,
+                     MutationReport* rep) {
+    rep->target_node = node_id;
+    Status st = MutateOp(&mutated, &consumers, node_id, rep, prof);
+    if (st.ok()) {
+      FlattenUnions(&mutated);
+      rep->mutated = true;
+    } else if (!SameEdges(plan, mutated)) {
+      mutated = plan.Clone();
+      consumers.InputsChanged();
+    }
+    return st.ok();
+  };
+
   for (int idx : order) {
     const OpProfile& op = profile.ops[idx];
     if (op.kind == OpKind::kResult) continue;
-    QueryPlan mutated = plan.Clone();
-    MutationReport attempt;
-    attempt.target_node = op.node_id;
-    Status st = MutateOp(&mutated, op.node_id, &attempt, &op);
-    if (st.ok()) {
-      FlattenUnions(&mutated);
-      attempt.mutated = true;
-      *report = attempt;
+    MutationReport first;
+    if (attempt(op.node_id, &op, &first)) {
+      *report = first;
       return mutated;
     }
     // Non-filtering op whose input is not yet partitioned: parallelize the
@@ -877,22 +952,17 @@ StatusOr<QueryPlan> Mutator::MutateMostExpensive(const QueryPlan& plan,
     // dependency resolution).
     int anc = FindSplittableAncestor(plan, op.node_id, profile);
     if (anc >= 0) {
-      QueryPlan mutated2 = plan.Clone();
-      MutationReport attempt2;
-      attempt2.target_node = anc;
-      Status st2 = MutateOp(&mutated2, anc, &attempt2, prof_of(anc));
-      if (st2.ok()) {
-        FlattenUnions(&mutated2);
-        attempt2.mutated = true;
-        attempt2.detail += " (ancestor of X_" + std::to_string(op.node_id) + ")";
-        *report = attempt2;
-        return mutated2;
+      MutationReport second;
+      if (attempt(anc, prof_of(anc), &second)) {
+        second.detail += " (ancestor of X_" + std::to_string(op.node_id) + ")";
+        *report = second;
+        return mutated;
       }
     }
     // Otherwise fall through to the next most expensive operator.
   }
-  // Nothing mutable: return the plan unchanged.
-  return plan.Clone();
+  // Nothing mutable: the copy is still the unchanged plan.
+  return mutated;
 }
 
 }  // namespace apq

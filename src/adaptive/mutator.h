@@ -146,6 +146,19 @@ class Mutator {
   static void FlattenUnions(QueryPlan* plan);
 
  private:
+  /// Consumer lists of the plan one mutation step edits (mutator.cc).
+  class Consumers;
+
+  /// The primitives above, looking consumers up in `consumers` — the lists
+  /// of `*plan`, shared by every lookup of one mutation step.
+  Status PropagateUnion(QueryPlan* plan, Consumers* consumers, int union_id,
+                        int max_fanin);
+  Status AdvancedGroupBy(QueryPlan* plan, Consumers* consumers,
+                         int groupby_id);
+  Status AdvancedSort(QueryPlan* plan, Consumers* consumers, int sort_id);
+  Status SplitAligned(QueryPlan* plan, Consumers* consumers, int node_id,
+                      int ways, const OpProfile* prof, MutationReport* report);
+
   /// The shared basic-split eligibility gate: parallelizable kind, and not a
   /// pairs-fed fetch-join (which cannot be range-split order-preservingly).
   static Status CheckBasicSplittable(const QueryPlan& plan, int node_id);
@@ -154,8 +167,9 @@ class Mutator {
   /// operator cannot be parallelized in its current form. `prof` is the
   /// operator's profile from the run that selected it (may be null — e.g.
   /// from the heuristic parallelizer — in which case splits are uniform).
-  Status MutateOp(QueryPlan* plan, int node_id, MutationReport* report,
-                  const OpProfile* prof);
+  /// A failed mutation may leave `*plan` partly edited.
+  Status MutateOp(QueryPlan* plan, Consumers* consumers, int node_id,
+                  MutationReport* report, const OpProfile* prof);
 
   /// Computes the range pieces a basic split of `node_id` would create:
   /// skew-aware (value-balanced, from prof's morsel histogram) when prof
@@ -169,7 +183,7 @@ class Mutator {
   /// Basic split of `node_id` onto the given consecutive range pieces,
   /// packing the clones with an exchange union (splicing into an existing
   /// union consumer to keep partition order, per Fig 8).
-  Status SplitNodeAt(QueryPlan* plan, int node_id,
+  Status SplitNodeAt(QueryPlan* plan, Consumers* consumers, int node_id,
                      const std::vector<RowRange>& pieces);
 
   /// Finds the most expensive splittable ancestor of `node_id` (used when a
@@ -178,7 +192,8 @@ class Mutator {
                              const RunProfile& profile) const;
 
   /// Rewires every consumer of `old_id` to read `new_id` instead.
-  static void RewireConsumers(QueryPlan* plan, int old_id, int new_id);
+  static void RewireConsumers(QueryPlan* plan, Consumers* consumers,
+                              int old_id, int new_id);
 
   MutatorConfig config_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
@@ -31,9 +32,10 @@ obs::Counter* QueryErrorsCounter() {
   return c;
 }
 
-// Serializes `doc`, wraps it in a QueryRecord, and pushes it into the
+// Snapshots `doc`, wraps it in a QueryRecord, and pushes it into the
 // recent-query ring — the single recording point both entry points (and
-// both their ok/error paths) funnel through.
+// both their ok/error paths) funnel through. The document itself is
+// serialized only if someone reads it (obs/query_log.h).
 void RecordQuery(const QueryProfileDoc& doc, int runs, int mutations) {
   obs::QueryRecord rec;
   rec.id = doc.query_id;
@@ -48,7 +50,7 @@ void RecordQuery(const QueryProfileDoc& doc, int runs, int mutations) {
   rec.peak_bytes = doc.peak_bytes;
   rec.cpu_ns = doc.cpu_ns;
   rec.queue_wait_ns = doc.queue_wait_ns;
-  rec.profile_json = QueryProfileJson(doc);
+  rec.profile = SnapshotQueryProfile(doc);
   obs::QueryLog::Global().Push(std::move(rec));
 }
 
@@ -97,7 +99,7 @@ StatusOr<QueryRunResult> Engine::RunPlanInner(
   QueryRunResult out;
   out.time_ns = sim.instance_response_ns[0];
   out.wall_ns = er.wall_ns;
-  out.result = er.result;
+  out.result = std::move(er.result);
   out.stats = plan.Stats();
   std::vector<SimTaskTiming> own_timings(sim.timings.begin(),
                                          sim.timings.begin() + own);

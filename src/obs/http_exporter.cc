@@ -119,6 +119,8 @@ void HttpExporter::Handle(const std::string& raw_path, int* http_status,
     char* end = nullptr;
     errno = 0;
     const unsigned long long id = std::strtoull(id_str.c_str(), &end, 10);
+    // FindProfile copies the record's snapshot pointer under the ring's lock
+    // and builds the document here, on the exporter thread.
     if (errno != 0 || end == id_str.c_str() || *end != '\0' || id == 0 ||
         !QueryLog::Global().FindProfile(static_cast<uint64_t>(id), body)) {
       *http_status = 404;

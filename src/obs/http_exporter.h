@@ -25,7 +25,9 @@
 // Design constraints, in order:
 //   1. Zero cost when off (the default): nothing is constructed, no thread,
 //      no socket. Queries never wait on the exporter — every handler reads
-//      relaxed-atomic snapshots or copies strings under short mutexes.
+//      relaxed-atomic snapshots or copies records under short mutexes, and
+//      /debug/profile/<id> serializes its document on the exporter thread
+//      after the query log's lock is released.
 //   2. Hardened like APQ_TRACE: an invalid APQ_HTTP value or a failing
 //      bind/listen warns once on stderr and introspection stays off. It
 //      never aborts or fails a query.

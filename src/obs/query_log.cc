@@ -1,5 +1,6 @@
 #include "obs/query_log.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cerrno>
@@ -18,7 +19,7 @@ std::atomic<uint64_t> g_next_query_id{1};
 thread_local uint64_t t_current_query_id = 0;
 
 // Minimal JSON string escaping for status/error texts (profile documents
-// arrive pre-serialized and are embedded verbatim).
+// come from ProfileSource::Json() and are embedded verbatim).
 void JsonEscapeInto(std::ostringstream& os, const std::string& s) {
   for (char c : s) {
     if (c == '"' || c == '\\') {
@@ -46,6 +47,16 @@ void AppendSummary(std::ostringstream& os, const QueryRecord& r) {
      << ",\"queue_wait_ns\":" << r.queue_wait_ns << "}";
 }
 
+// The record's profile document. Engine records always carry a snapshot
+// (even failed queries); a hand-pushed record without one falls back to its
+// summary so the dump stays valid JSON.
+std::string ProfileDocument(const QueryRecord& r) {
+  if (r.profile != nullptr) return r.profile->Json();
+  std::ostringstream os;
+  AppendSummary(os, r);
+  return os.str();
+}
+
 }  // namespace
 
 uint64_t NextQueryId() {
@@ -67,9 +78,15 @@ QueryLog& QueryLog::Global() {
 
 void QueryLog::Push(QueryRecord rec) {
   const size_t cap = QueryLogCapacity();
+  // Evicted records are destroyed after the lock is released: dropping the
+  // last reference to a snapshot frees its whole run profile.
+  std::vector<QueryRecord> evicted;
   std::lock_guard<std::mutex> lock(mu_);
   recent_.push_back(std::move(rec));
-  while (recent_.size() > cap) recent_.pop_front();
+  while (recent_.size() > cap) {
+    evicted.push_back(std::move(recent_.front()));
+    recent_.pop_front();
+  }
 }
 
 std::vector<QueryRecord> QueryLog::Snapshot() const {
@@ -78,14 +95,16 @@ std::vector<QueryRecord> QueryLog::Snapshot() const {
 }
 
 bool QueryLog::FindProfile(uint64_t id, std::string* json) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = recent_.rbegin(); it != recent_.rend(); ++it) {
-    if (it->id == id) {
-      *json = it->profile_json;
-      return true;
-    }
+  QueryRecord found;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = std::find_if(recent_.rbegin(), recent_.rend(),
+                           [id](const QueryRecord& r) { return r.id == id; });
+    if (it == recent_.rend()) return false;
+    found = *it;
   }
-  return false;
+  *json = ProfileDocument(found);
+  return true;
 }
 
 std::string QueryLog::SummaryJson() const {
@@ -103,20 +122,17 @@ std::string QueryLog::SummaryJson() const {
 }
 
 std::string QueryLog::DumpJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<QueryRecord> records;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    records.assign(recent_.begin(), recent_.end());
+  }
   std::ostringstream os;
   os << "{\"queries\":[";
   bool first = true;
-  for (const QueryRecord& r : recent_) {
+  for (const QueryRecord& r : records) {
     if (!first) os << ",\n";
-    // Records always carry a document (the engine serializes one even for
-    // failed queries); guard anyway so a hand-pushed record cannot corrupt
-    // the dump.
-    if (r.profile_json.empty()) {
-      AppendSummary(os, r);
-    } else {
-      os << r.profile_json;
-    }
+    os << ProfileDocument(r);
     first = false;
   }
   os << "]}";

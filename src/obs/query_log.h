@@ -7,22 +7,29 @@
 // so a single id correlates every observability surface: grep the Chrome
 // trace for a0 == id, curl /debug/profile/<id>, and read the same query.
 //
-// Completed (or failed) queries push a QueryRecord — summary scalars plus
-// the pre-serialized profile JSON document — into the fixed-capacity global
-// QueryLog ring. The HTTP exporter (obs/http_exporter.h) serves the ring as
-// /debug/queries and /debug/profile/<id>, and a valid APQ_PROFILE=<path>
-// dumps it as one JSON document at process exit, no HTTP required.
+// Completed (or failed) queries push a QueryRecord — summary scalars plus an
+// immutable ProfileSource — into the fixed-capacity global QueryLog ring.
+// The HTTP exporter (obs/http_exporter.h) serves the ring as /debug/queries
+// and /debug/profile/<id>, and a valid APQ_PROFILE=<path> dumps it as one
+// JSON document at process exit, no HTTP required.
 //
-// The log deliberately stores *serialized* JSON: src/obs stays independent
-// of the plan/profile layers (the engine serializes via
-// profile/profile_json.h and hands the finished string down), and the
-// exporter thread never touches live engine state — it only copies strings
-// under the log's mutex.
+// EXPLAIN-ANALYZE documents are built when they are read, not when the query
+// finishes: most documents are evicted unread, and serializing a per-morsel
+// profile costs a large share of a short query's wall time. A retained
+// record holds the summary scalars and a shared pointer to a snapshot the
+// engine took when the query finished (for the engine's snapshot: a copy of
+// the run profile, the document scalars and, for adaptive queries, the
+// lineage and outcome scalars — never plans or results). The snapshot is
+// immutable, so FindProfile() and DumpJson() copy the pointers under the
+// ring's mutex and serialize outside it: a reader never blocks Push().
+// src/obs stays independent of the plan/profile layers — it sees snapshots
+// only through the ProfileSource interface.
 #ifndef APQ_OBS_QUERY_LOG_H_
 #define APQ_OBS_QUERY_LOG_H_
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -53,6 +60,20 @@ class QueryIdScope {
   uint64_t prev_;
 };
 
+/// \brief A retained query's EXPLAIN-ANALYZE document, built on demand.
+/// Implementations are immutable once constructed, so Json() may run on any
+/// thread, concurrently with other readers and with the engine.
+class ProfileSource {
+ public:
+  ProfileSource() = default;
+  virtual ~ProfileSource() = default;
+  ProfileSource(const ProfileSource&) = delete;
+  ProfileSource& operator=(const ProfileSource&) = delete;
+
+  /// The full per-query JSON document (profile/profile_json.h schema).
+  virtual std::string Json() const = 0;
+};
+
 /// \brief One finished query, as the introspection surface remembers it.
 struct QueryRecord {
   uint64_t id = 0;
@@ -67,9 +88,9 @@ struct QueryRecord {
   uint64_t peak_bytes = 0;   // peak charged bytes (obs/resource_tracker.h)
   double cpu_ns = 0;         // summed task/operator execution time
   double queue_wait_ns = 0;  // summed scheduler queue-wait
-  /// The full per-query JSON document served by /debug/profile/<id>
-  /// (profile/profile_json.h schema).
-  std::string profile_json;
+  /// Builds the document served by /debug/profile/<id> and dumped by
+  /// APQ_PROFILE; null when the record carries none (the summary stands in).
+  std::shared_ptr<const ProfileSource> profile;
 };
 
 /// Default queries remembered by the ring; older records are evicted.
@@ -86,7 +107,8 @@ size_t ParseQueryLogCapacity(const char* s);
 size_t QueryLogCapacity();
 
 /// \brief Fixed-capacity ring of recent queries, mutex-protected (pushes
-/// happen once per query, reads once per scrape — nowhere near a hot path).
+/// happen once per query, reads once per scrape; the lock only guards
+/// record copies, never serialization).
 class QueryLog {
  public:
   QueryLog() = default;
@@ -101,8 +123,8 @@ class QueryLog {
   /// Newest-first copies of the current records.
   std::vector<QueryRecord> Snapshot() const;
 
-  /// Copies record `id`'s profile JSON into `*json`; false when evicted or
-  /// never recorded.
+  /// Serializes record `id`'s profile document into `*json` (outside the
+  /// ring's lock); false when evicted or never recorded.
   bool FindProfile(uint64_t id, std::string* json) const;
 
   /// {"queries":[{summary fields}...]} newest first — the /debug/queries
@@ -110,7 +132,8 @@ class QueryLog {
   std::string SummaryJson() const;
 
   /// {"queries":[<full profile documents>]} oldest first — the APQ_PROFILE
-  /// dump, schema-validated by tools/profile_check.py.
+  /// dump, schema-validated by tools/profile_check.py. Documents are
+  /// serialized outside the ring's lock.
   std::string DumpJson() const;
 
   void Clear();  // tests

@@ -53,24 +53,49 @@ int QueryPlan::AddNode(PlanNode node) {
 }
 
 std::vector<int> QueryPlan::Consumers(int id) const {
-  std::vector<int> out;
-  auto order = TopologicalOrder();
-  const std::vector<int>* scope = nullptr;
+  return ConsumerIndex(*this).Of(id);
+}
+
+ConsumerIndex::ConsumerIndex(const QueryPlan& plan) {
+  const int n = plan.num_nodes();
+  // Consumers are the reachable nodes in topological order (every node in id
+  // order when the plan has no valid order); a node that reads the same
+  // input twice is listed once.
+  auto order = plan.TopologicalOrder();
   std::vector<int> all;
-  if (order.ok()) {
-    scope = &order.ValueOrDie();
-  } else {
-    all.resize(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) all[i] = static_cast<int>(i);
-    scope = &all;
+  if (!order.ok()) {
+    all.resize(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) all[static_cast<size_t>(i)] = i;
   }
-  for (int nid : *scope) {
-    const PlanNode& n = nodes_[nid];
-    if (std::find(n.inputs.begin(), n.inputs.end(), id) != n.inputs.end()) {
-      out.push_back(nid);
+  const std::vector<int>& scope = order.ok() ? order.ValueOrDie() : all;
+  // Counting pass, then a fill pass in scope order (a stable bucket sort).
+  // last[i] is the latest consumer recorded for node i: it drops repeats.
+  std::vector<int> last(static_cast<size_t>(n), -1);
+  begin_.assign(static_cast<size_t>(n) + 1, 0);
+  for (int nid : scope) {
+    for (int in : plan.node(nid).inputs) {
+      if (in < 0 || in >= n || last[in] == nid) continue;
+      last[in] = nid;
+      ++begin_[static_cast<size_t>(in) + 1];
     }
   }
-  return out;
+  for (int i = 0; i < n; ++i) begin_[i + 1] += begin_[i];
+  flat_.resize(static_cast<size_t>(begin_[n]));
+  std::vector<int> fill(begin_.begin(), begin_.end() - 1);
+  std::fill(last.begin(), last.end(), -1);
+  for (int nid : scope) {
+    for (int in : plan.node(nid).inputs) {
+      if (in < 0 || in >= n || last[in] == nid) continue;
+      last[in] = nid;
+      flat_[fill[in]++] = nid;
+    }
+  }
+}
+
+std::vector<int> ConsumerIndex::Of(int id) const {
+  if (id < 0 || id + 1 >= static_cast<int>(begin_.size())) return {};
+  return std::vector<int>(flat_.begin() + begin_[id],
+                          flat_.begin() + begin_[id + 1]);
 }
 
 StatusOr<std::vector<int>> QueryPlan::TopologicalOrder() const {

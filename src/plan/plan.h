@@ -74,6 +74,23 @@ class QueryPlan {
   int result_id_ = -1;
 };
 
+/// \brief Every node's consumers from one traversal: Of(id) is what
+/// QueryPlan::Consumers(id) returns (the same nodes in the same order) for
+/// the plan as it was when the index was built. For callers that look up
+/// many nodes of an unchanged plan.
+class ConsumerIndex {
+ public:
+  explicit ConsumerIndex(const QueryPlan& plan);
+
+  /// Consumers of `id`; empty for an id the plan did not have.
+  std::vector<int> Of(int id) const;
+
+ private:
+  // Consumers of node i are flat_[begin_[i], begin_[i + 1]).
+  std::vector<int> begin_;
+  std::vector<int> flat_;
+};
+
 /// \brief Range-partition slices of every reachable node of `kind`, sorted by
 /// begin row — the converged partitioning a sequence of basic mutations
 /// produced (uniform chunks or the skew-aware value-balanced boundaries),

@@ -33,6 +33,47 @@ std::ostringstream MakeStream() {
 // rather than emitting an unparseable document.
 double Finite(double v) { return std::isfinite(v) ? v : 0.0; }
 
+// The parts of an AdaptiveOutcome the document reads: its scalars and
+// lineage. Runs, plans, the GME profile (snapshotted separately as the
+// document's profile) and the result are left empty.
+AdaptiveOutcome DocumentPartOf(const AdaptiveOutcome& a) {
+  AdaptiveOutcome out;
+  out.lineage = a.lineage;
+  out.query_id = a.query_id;
+  out.serial_time_ns = a.serial_time_ns;
+  out.serial_wall_ns = a.serial_wall_ns;
+  out.gme_wall_ns = a.gme_wall_ns;
+  out.gme_time_ns = a.gme_time_ns;
+  out.gme_run = a.gme_run;
+  out.best_time_ns = a.best_time_ns;
+  out.best_run = a.best_run;
+  out.total_runs = a.total_runs;
+  out.skew_mutations = a.skew_mutations;
+  return out;
+}
+
+// A QueryProfileDoc whose borrowed pointers aim at copies it owns.
+class QueryProfileSnapshot final : public obs::ProfileSource {
+ public:
+  explicit QueryProfileSnapshot(const QueryProfileDoc& doc) : doc_(doc) {
+    if (doc.profile != nullptr) {
+      profile_ = *doc.profile;
+      doc_.profile = &profile_;
+    }
+    if (doc.adaptive != nullptr) {
+      adaptive_ = DocumentPartOf(*doc.adaptive);
+      doc_.adaptive = &adaptive_;
+    }
+  }
+
+  std::string Json() const override { return QueryProfileJson(doc_); }
+
+ private:
+  QueryProfileDoc doc_;
+  RunProfile profile_;
+  AdaptiveOutcome adaptive_;
+};
+
 }  // namespace
 
 double MorselWallPercentileNs(const OpProfile& op, double q) {
@@ -173,6 +214,11 @@ std::string QueryProfileJson(const QueryProfileDoc& doc) {
   }
   os << "}";
   return os.str();
+}
+
+std::shared_ptr<const obs::ProfileSource> SnapshotQueryProfile(
+    const QueryProfileDoc& doc) {
+  return std::make_shared<const QueryProfileSnapshot>(doc);
 }
 
 }  // namespace apq

@@ -42,9 +42,11 @@
 #define APQ_PROFILE_PROFILE_JSON_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "adaptive/executor.h"
+#include "obs/query_log.h"
 #include "profile/profiler.h"
 
 namespace apq {
@@ -91,6 +93,15 @@ struct QueryProfileDoc {
 /// adaptive->total_runs (1 for a plain plan); "mutations" counts lineage
 /// entries whose action is not "none".
 std::string QueryProfileJson(const QueryProfileDoc& doc);
+
+/// An immutable snapshot of `doc` for the query log (obs/query_log.h). It
+/// owns copies of the document scalars, the run profile and, for an adaptive
+/// query, the outcome scalars and lineage — not the outcome's plans, runs or
+/// result — so it outlives whatever `doc` borrowed from. Its Json() returns
+/// exactly what QueryProfileJson(doc) returns now, on whichever thread reads
+/// the document later.
+std::shared_ptr<const obs::ProfileSource> SnapshotQueryProfile(
+    const QueryProfileDoc& doc);
 
 }  // namespace apq
 

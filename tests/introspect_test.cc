@@ -11,7 +11,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,13 +56,23 @@ TEST(QueryIdTest, ScopeInstallsAndRestoresNested) {
 
 // ---- the recent-query log ---------------------------------------------------
 
+// A fixed document standing in for the engine's profile snapshot.
+class FixedProfile : public obs::ProfileSource {
+ public:
+  explicit FixedProfile(std::string json) : json_(std::move(json)) {}
+  std::string Json() const override { return json_; }
+
+ private:
+  std::string json_;
+};
+
 obs::QueryRecord MakeRecord(uint64_t id, const std::string& profile = "") {
   obs::QueryRecord rec;
   rec.id = id;
   rec.kind = "plan";
   rec.wall_ns = 100.0 * static_cast<double>(id);
   rec.rows = id * 10;
-  rec.profile_json = profile;
+  if (!profile.empty()) rec.profile = std::make_shared<FixedProfile>(profile);
   return rec;
 }
 
@@ -243,7 +256,8 @@ TEST(HttpExporterTest, RoutingTableServesEveryEndpoint) {
   obs::QueryRecord rec;
   rec.id = 99999;
   rec.kind = "plan";
-  rec.profile_json = "{\"query_id\":99999,\"marker\":\"deadbeef\"}";
+  rec.profile = std::make_shared<FixedProfile>(
+      "{\"query_id\":99999,\"marker\":\"deadbeef\"}");
   obs::QueryLog::Global().Push(rec);
 
   int status = 0;
@@ -570,6 +584,304 @@ TEST_F(IntrospectEngineTest, ResultsBitIdenticalWithExporterOnVsOff) {
     EXPECT_DOUBLE_EQ(off.ValueOrDie().time_ns, on.ValueOrDie().time_ns)
         << "workers=" << workers;
   }
+}
+
+// ---- profile documents built on read ----------------------------------------
+
+// Minimal JSON syntax check (RFC 8259 grammar, no schema): true when `s` is
+// exactly one well-formed value.
+class JsonSyntax {
+ public:
+  static bool Valid(const std::string& s) {
+    JsonSyntax p(s);
+    return p.Value() && p.AtEnd();
+  }
+
+ private:
+  explicit JsonSyntax(const std::string& s) : s_(s) {}
+
+  void Ws() {
+    while (pos_ < s_.size() &&
+           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
+      ++pos_;
+    }
+  }
+  bool AtEnd() {
+    Ws();
+    return pos_ == s_.size();
+  }
+  bool Eat(char c) {
+    Ws();
+    if (pos_ < s_.size() && s_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+  bool Literal(const char* lit) {
+    const size_t n = std::strlen(lit);
+    if (s_.compare(pos_, n, lit) != 0) return false;
+    pos_ += n;
+    return true;
+  }
+  bool Digits() {
+    const size_t start = pos_;
+    while (pos_ < s_.size() &&
+           std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
+      ++pos_;
+    }
+    return pos_ > start;
+  }
+  bool Number() {
+    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
+    if (!Digits()) return false;
+    if (pos_ < s_.size() && s_[pos_] == '.') {
+      ++pos_;
+      if (!Digits()) return false;
+    }
+    if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-')) ++pos_;
+      if (!Digits()) return false;
+    }
+    return true;
+  }
+  bool String() {
+    if (!Eat('"')) return false;
+    while (pos_ < s_.size()) {
+      const char c = s_[pos_++];
+      if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20) return false;
+      if (c == '\\') {
+        if (pos_ >= s_.size()) return false;
+        ++pos_;
+      }
+    }
+    return false;
+  }
+  bool Value() {
+    Ws();
+    if (pos_ >= s_.size()) return false;
+    if (Eat('{')) {
+      if (Eat('}')) return true;
+      do {
+        if (!String() || !Eat(':') || !Value()) return false;
+      } while (Eat(','));
+      return Eat('}');
+    }
+    if (Eat('[')) {
+      if (Eat(']')) return true;
+      do {
+        if (!Value()) return false;
+      } while (Eat(','));
+      return Eat(']');
+    }
+    if (s_[pos_] == '"') return String();
+    if (Literal("true") || Literal("false") || Literal("null")) return true;
+    return Number();
+  }
+
+  const std::string& s_;
+  size_t pos_ = 0;
+};
+
+TEST(JsonSyntaxTest, AcceptsDocumentsAndRejectsGarbage) {
+  EXPECT_TRUE(JsonSyntax::Valid("{\"a\":[1,-2.5,3e+15,true,null,\"x\\\"\"]}"));
+  EXPECT_TRUE(JsonSyntax::Valid("{\"queries\":[]}"));
+  EXPECT_FALSE(JsonSyntax::Valid("{\"a\":1"));
+  EXPECT_FALSE(JsonSyntax::Valid("{\"a\":1}}"));
+  EXPECT_FALSE(JsonSyntax::Valid("{\"a\":nan}"));
+  EXPECT_FALSE(JsonSyntax::Valid("[1,]"));
+  EXPECT_FALSE(JsonSyntax::Valid(""));
+}
+
+// The document the log serves for `snap`: through FindProfile, and as the
+// only entry of DumpJson.
+void ExpectServed(const std::shared_ptr<const obs::ProfileSource>& snap,
+                  uint64_t id, const std::string& expected) {
+  obs::QueryLog log;
+  obs::QueryRecord rec;
+  rec.id = id;
+  rec.profile = snap;
+  log.Push(std::move(rec));
+  std::string served;
+  ASSERT_TRUE(log.FindProfile(id, &served));
+  EXPECT_EQ(served, expected);
+  EXPECT_EQ(log.DumpJson(), "{\"queries\":[" + expected + "]}");
+  EXPECT_TRUE(JsonSyntax::Valid(served));
+}
+
+TEST_F(IntrospectEngineTest, PlainSnapshotMatchesDocAfterCallerMutates) {
+  EngineConfig cfg = SmallConfig();
+  cfg.morsel_rows = 512;  // per-morsel histograms in the profile
+  Engine engine(cfg);
+  auto q6 = Tpch::Q6(*cat_);
+  ASSERT_TRUE(q6.ok());
+  std::optional<StatusOr<QueryRunResult>> out(
+      engine.RunSerial(q6.ValueOrDie()));
+  ASSERT_TRUE(out->ok());
+  QueryRunResult& r = out->ValueOrDie();
+  ASSERT_FALSE(r.profile.ops.empty());
+
+  QueryProfileDoc doc;
+  doc.query_id = r.query_id;
+  doc.kind = "plan";
+  doc.wall_ns = 123456.5;
+  doc.time_ns = r.time_ns;
+  doc.rows = r.result.NumRows();
+  doc.peak_bytes = 4096;
+  doc.cpu_ns = 99000;
+  doc.queue_wait_ns = 12;
+  doc.workers = 4;
+  doc.profile = &r.profile;
+  const std::string expected = QueryProfileJson(doc);
+  auto snap = SnapshotQueryProfile(doc);
+
+  // The caller mutates, then destroys, everything the doc borrowed.
+  r.profile.ops[0].label = "mutated";
+  r.profile.ops[0].morsels.clear();
+  r.profile.makespan_ns = -1;
+  EXPECT_EQ(snap->Json(), expected);
+  out.reset();
+  ExpectServed(snap, doc.query_id, expected);
+}
+
+TEST_F(IntrospectEngineTest, AdaptiveSnapshotMatchesDocAfterCallerMutates) {
+  Engine engine(SmallConfig());
+  auto q6 = Tpch::Q6(*cat_);
+  ASSERT_TRUE(q6.ok());
+  std::optional<StatusOr<AdaptiveOutcome>> out(
+      engine.RunAdaptive(q6.ValueOrDie()));
+  ASSERT_TRUE(out->ok()) << out->status().ToString();
+  AdaptiveOutcome& a = out->ValueOrDie();
+  ASSERT_GT(a.total_runs, 1);
+
+  QueryProfileDoc doc;
+  doc.query_id = a.query_id;
+  doc.kind = "adaptive";
+  doc.wall_ns = 7.25e6;
+  doc.time_ns = a.gme_time_ns;
+  doc.rows = a.result.NumRows();
+  doc.workers = 8;
+  doc.cpu_ns = 3e6;
+  doc.profile = &a.gme_profile;
+  doc.adaptive = &a;
+  const std::string expected = QueryProfileJson(doc);
+  auto snap = SnapshotQueryProfile(doc);
+
+  a.lineage.clear();
+  a.total_runs = 0;
+  a.skew_mutations = 99;
+  a.gme_profile.ops.clear();
+  EXPECT_EQ(snap->Json(), expected);
+  out.reset();
+  ExpectServed(snap, doc.query_id, expected);
+}
+
+TEST(ProfileSnapshotTest, FailedQuerySnapshotMatchesDoc) {
+  QueryProfileDoc doc;
+  doc.query_id = 77;
+  doc.kind = "adaptive";
+  doc.status = "error";
+  doc.error = "Unsupported: LIKE on \"ints\"\n";
+  doc.wall_ns = 50;
+  doc.workers = 2;
+  const std::string expected = QueryProfileJson(doc);
+  auto snap = SnapshotQueryProfile(doc);
+  doc.error = "changed";
+  EXPECT_EQ(snap->Json(), expected);
+  EXPECT_NE(expected.find("\"profile\":null"), std::string::npos);
+  ExpectServed(snap, doc.query_id, expected);
+}
+
+// Engine records keep serving the same document after the caller drops its
+// result: the log holds a snapshot, not a view of the caller's objects.
+TEST_F(IntrospectEngineTest, ServedDocumentsOutliveCallerResults) {
+  obs::QueryLog::Global().Clear();
+  Engine engine(SmallConfig());
+  auto q6 = Tpch::Q6(*cat_);
+  ASSERT_TRUE(q6.ok());
+  std::optional<StatusOr<QueryRunResult>> plain(
+      engine.RunSerial(q6.ValueOrDie()));
+  std::optional<StatusOr<AdaptiveOutcome>> adaptive(
+      engine.RunAdaptive(q6.ValueOrDie()));
+  ASSERT_TRUE(plain->ok() && adaptive->ok());
+  const uint64_t ids[] = {plain->ValueOrDie().query_id,
+                          adaptive->ValueOrDie().query_id};
+  std::string before[2];
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(obs::QueryLog::Global().FindProfile(ids[i], &before[i]));
+    EXPECT_TRUE(JsonSyntax::Valid(before[i]));
+  }
+  plain.reset();
+  adaptive.reset();
+  for (int i = 0; i < 2; ++i) {
+    std::string after;
+    ASSERT_TRUE(obs::QueryLog::Global().FindProfile(ids[i], &after));
+    EXPECT_EQ(after, before[i]);
+  }
+  EXPECT_TRUE(JsonSyntax::Valid(obs::QueryLog::Global().DumpJson()));
+  obs::QueryLog::Global().Clear();
+}
+
+// Readers serialize documents while four engines push into the ring and
+// evict from it. Run under ThreadSanitizer (the CI tsan leg) this is the
+// race check for snapshots shared between the engine and the exporter.
+TEST_F(IntrospectEngineTest, ReadersRaceEnginePushesAndEvictions) {
+  obs::QueryLog::Global().Clear();
+  auto q6 = Tpch::Q6(*cat_);
+  ASSERT_TRUE(q6.ok());
+  const QueryPlan& plan = q6.ValueOrDie();
+  constexpr int kEngines = 4;
+  // Enough plain queries to overflow the ring several times over.
+  const int per_engine =
+      static_cast<int>(obs::QueryLogCapacity() / kEngines) + 8;
+
+  std::atomic<int> writers_left{kEngines};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (int e = 0; e < kEngines; ++e) {
+    writers.emplace_back([&, e] {
+      EngineConfig cfg = SmallConfig();
+      cfg.morsel_rows = 1024;
+      Engine engine(cfg);
+      if (e == 0 && !engine.RunAdaptive(plan).ok()) ++failures;
+      for (int i = 0; i < per_engine; ++i) {
+        if (!engine.RunSerial(plan).ok()) ++failures;
+      }
+      --writers_left;
+    });
+  }
+
+  std::atomic<int> docs_read{0};
+  std::atomic<int> bad_docs{0};
+  auto reader = [&](bool dump) {
+    do {
+      if (dump) {
+        if (!JsonSyntax::Valid(obs::QueryLog::Global().DumpJson())) ++bad_docs;
+        ++docs_read;
+        continue;
+      }
+      for (const obs::QueryRecord& r : obs::QueryLog::Global().Snapshot()) {
+        std::string json;
+        if (!obs::QueryLog::Global().FindProfile(r.id, &json)) continue;
+        if (!JsonSyntax::Valid(json)) ++bad_docs;
+        ++docs_read;
+      }
+    } while (writers_left.load() > 0);
+  };
+  std::thread finder(reader, false);
+  std::thread dumper(reader, true);
+  for (auto& t : writers) t.join();
+  finder.join();
+  dumper.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(bad_docs.load(), 0);
+  EXPECT_GT(docs_read.load(), 0);
+  EXPECT_EQ(obs::QueryLog::Global().Snapshot().size(),
+            obs::QueryLogCapacity());  // the ring filled and evicted
+  obs::QueryLog::Global().Clear();
 }
 
 }  // namespace
