@@ -55,10 +55,13 @@ StatusOr<AdaptiveOutcome> AdaptiveExecutor::Run(
   QueryPlan plan = serial_plan.Clone();
   Intermediate serial_result;
   int run = 0;
-  // Tracks which executed run each plan corresponds to, so the GME plan can
-  // be recovered. plans[r] executed as run r.
-  std::vector<QueryPlan> plan_history;
-  std::vector<RunProfile> profile_history;
+  // The plan and profile of run 0 and of the current GME candidate: the
+  // only runs the outcome can report. The candidate is replaced whenever the
+  // convergence controller moves its GME to the run just observed.
+  QueryPlan serial_run_plan;
+  RunProfile serial_run_profile;
+  QueryPlan gme_candidate_plan;
+  RunProfile gme_candidate_profile;
   // Last run's morsel-size hints, keyed by node id: the proportional skew
   // response below shrinks/grows relative to these rather than restarting
   // from the base size every run.
@@ -119,26 +122,30 @@ StatusOr<AdaptiveOutcome> AdaptiveExecutor::Run(
       profile.makespan_ns = time;
     }
 
-    plan_history.push_back(plan.Clone());
-    // History keeps the scalar per-op skew fields but not the raw morsel
-    // histograms: only the CURRENT run's histogram feeds the mutator, and
-    // retaining (or even transiently copying) every run's would cost
-    // O(ops x morsels) per run. Swap each histogram out around the copy.
-    profile_history.emplace_back();
-    {
-      RunProfile& hist = profile_history.back();
-      hist.makespan_ns = profile.makespan_ns;
-      hist.utilization = profile.utilization;
-      hist.ops.reserve(profile.ops.size());
+    bool cont = conv.Observe(time);
+    if (run == 0 || conv.gme_run() == run) {
+      // A kept profile has the scalar per-op skew fields but not the raw
+      // morsel histograms: only the CURRENT run's histogram feeds the
+      // mutator, and copying it would cost O(ops x morsels). Swap each
+      // histogram out around the copy.
+      RunProfile kept;
+      kept.makespan_ns = profile.makespan_ns;
+      kept.utilization = profile.utilization;
+      kept.ops.reserve(profile.ops.size());
       for (auto& op : profile.ops) {
         std::vector<MorselMetrics> saved;
         saved.swap(op.morsels);
-        hist.ops.push_back(op);
+        kept.ops.push_back(op);
         op.morsels = std::move(saved);
       }
+      if (run == 0) {
+        serial_run_plan = plan.Clone();
+        serial_run_profile = std::move(kept);
+      } else {
+        gme_candidate_plan = plan.Clone();
+        gme_candidate_profile = std::move(kept);
+      }
     }
-
-    bool cont = conv.Observe(time);
 
     AdaptiveRun rec;
     rec.run = run;
@@ -260,8 +267,13 @@ StatusOr<AdaptiveOutcome> AdaptiveExecutor::Run(
     out.gme_run = 0;
     out.gme_time_ns = out.serial_time_ns;
   }
-  out.gme_plan = plan_history[out.gme_run].Clone();
-  out.gme_profile = profile_history[out.gme_run];
+  if (out.gme_run == 0) {
+    out.gme_plan = std::move(serial_run_plan);
+    out.gme_profile = std::move(serial_run_profile);
+  } else {
+    out.gme_plan = std::move(gme_candidate_plan);
+    out.gme_profile = std::move(gme_candidate_profile);
+  }
   out.serial_wall_ns = out.runs[0].wall_ns;
   out.gme_wall_ns = out.runs[out.gme_run].wall_ns;
   return out;

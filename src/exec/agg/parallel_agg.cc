@@ -16,12 +16,25 @@ size_t ParallelGroupBy(const int64_t* keys, uint64_t n,
                        std::vector<MorselMetrics>* morsels) {
   MorselSource src(0, n, opts.morsel_rows);
   const size_t nm = src.num_morsels();
-  if (nm < 2 || opts.scheduler == nullptr) return 0;
-  MorselScheduler& sched = *opts.scheduler;
-
   const size_t base = out_gids->size();
   out_gids->resize(base + n);
   int64_t* gids = out_gids->data() + base;
+
+  if (nm < 2 || opts.scheduler == nullptr) {
+    // One morsel: one table, whose insertion-ordered slots already are the
+    // first-occurrence group ids — no merge, no renumbering.
+    AggTable tab;
+    for (uint64_t pos = 0; pos < n; ++pos) {
+      gids[pos] = tab.FindOrInsert(keys[pos], pos);
+    }
+    obs::ChargeTransient(tab.byte_size());
+    out_keys->reserve(out_keys->size() + tab.num_groups());
+    for (uint32_t s = 0; s < tab.num_groups(); ++s) {
+      out_keys->push_back(tab.key(s));
+    }
+    return 0;
+  }
+  MorselScheduler& sched = *opts.scheduler;
 
   // Phase 1 — thread-local ingest. Table index 0 belongs to the submitting
   // thread (kCallerWorker), 1..W to the scheduler workers; a worker runs one

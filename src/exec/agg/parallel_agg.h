@@ -62,9 +62,10 @@ struct ParallelAggOptions {
 /// bit-identical to the sequential insert loop. Appends one MorselMetrics
 /// per ingest morsel to `morsels` (tuples_in = tuples_out = morsel rows).
 ///
-/// Returns the number of morsels run; 0 when the input fits in fewer than
-/// two morsels or no scheduler was given — the caller should then run its
-/// sequential path (nothing has been written).
+/// Returns the number of morsels run. An input that fits in one morsel (or
+/// any input when no scheduler was given) is ingested on the calling thread
+/// into a single table with the same numbering, appends no morsel metrics
+/// and returns 0.
 size_t ParallelGroupBy(const int64_t* keys, uint64_t n,
                        const ParallelAggOptions& opts,
                        std::vector<int64_t>* out_gids,

@@ -9,6 +9,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "exec/agg/agg_table.h"
 #include "exec/agg/parallel_agg.h"
 #include "exec/kernels.h"
 #include "exec/sort/merge.h"
@@ -69,18 +70,20 @@ void GatherInto(const Column& col, oid row, ValueVec* vals) {
 
 // Applies a sort permutation to (values, head): the result holds values[p]
 // (and head[p], when head is non-null) for each p in perm, in perm order.
-void GatherPermuted(const ValueVec& values, const std::vector<oid>* head,
+void GatherPermuted(const ValueVec& values, const oid* head,
                     const std::vector<uint64_t>& perm, Intermediate* result) {
   result->kind = Intermediate::Kind::kValues;
   result->values.type = values.type;
   result->values.dict = values.dict;
   result->values.Reserve(perm.size());
-  if (head != nullptr) result->head.reserve(perm.size());
+  std::vector<oid> out_head;
+  if (head != nullptr) out_head.reserve(perm.size());
   for (uint64_t i : perm) {
     if (values.is_f64()) result->values.f64.push_back(values.f64[i]);
     else result->values.i64.push_back(values.i64[i]);
-    if (head != nullptr) result->head.push_back((*head)[i]);
+    if (head != nullptr) out_head.push_back(head[i]);
   }
+  result->head = std::move(out_head);
 }
 
 Status InputSlot(const std::vector<Intermediate>& slots,
@@ -274,7 +277,8 @@ size_t Evaluator::MorselSelectCandidates(const Column& col, RowRange range,
 
 Status Evaluator::MorselGather(const Column& col, const std::vector<oid>& ids,
                                RowRange range, bool sliced, AlignPolicy align,
-                               Intermediate* result, OpMetrics* m, bool* ran) {
+                               std::vector<oid>* head, ValueVec* values,
+                               OpMetrics* m, bool* ran) {
   *ran = false;
   MorselSource src(0, ids.size(), MorselRowsForNode(m->node_id));
   const size_t nm = src.num_morsels();
@@ -302,13 +306,13 @@ Status Evaluator::MorselGather(const Column& col, const std::vector<oid>& ids,
   // span [ms.begin, ms.end): workers gather straight into the pre-sized
   // result — no fragment vectors, no second concatenation pass.
   if (!(sliced && align == AlignPolicy::kAdjust)) {
-    const size_t hbase = result->head.size();
-    const uint64_t vbase = result->values.size();
-    result->head.resize(hbase + ids.size());
-    if (result->values.is_f64()) {
-      result->values.f64.resize(vbase + ids.size());
+    const size_t hbase = head->size();
+    const uint64_t vbase = values->size();
+    head->resize(hbase + ids.size());
+    if (values->is_f64()) {
+      values->f64.resize(vbase + ids.size());
     } else {
-      result->values.i64.resize(vbase + ids.size());
+      values->i64.resize(vbase + ids.size());
     }
     std::vector<Status> statuses(nm);
     std::vector<MorselMetrics> direct_mm(nm);
@@ -320,8 +324,8 @@ Status Evaluator::MorselGather(const Column& col, const std::vector<oid>& ids,
       const double t0 = NowNs();
       statuses[i] = GatherRowsAt(col, ids.data() + ms.begin, ms.size(), range,
                                  /*strict_sliced=*/sliced,
-                                 result->head.data() + hbase + ms.begin,
-                                 &result->values, vbase + ms.begin, simd_ops_);
+                                 head->data() + hbase + ms.begin, values,
+                                 vbase + ms.begin, simd_ops_);
       const auto [db, de] = domain(ms);
       direct_mm[i] =
           MorselMetrics{ms.size(), ms.size(), NowNs() - t0, worker, db, de};
@@ -347,8 +351,8 @@ Status Evaluator::MorselGather(const Column& col, const std::vector<oid>& ids,
   };
   std::vector<Frag> frags(nm);
   for (auto& f : frags) {
-    f.values.type = result->values.type;
-    f.values.dict = result->values.dict;
+    f.values.type = values->type;
+    f.values.dict = values->dict;
   }
   std::vector<MorselMetrics> mm(nm);
   morsel_scheduler()->ParallelFor(nm, [&](size_t i, int worker) {
@@ -378,26 +382,26 @@ Status Evaluator::MorselGather(const Column& col, const std::vector<oid>& ids,
   }
   size_t total = 0;
   for (const auto& f : frags) total += f.head.size();
-  result->head.reserve(result->head.size() + total);
-  result->values.Reserve(result->values.size() + total);
+  head->reserve(head->size() + total);
+  values->Reserve(values->size() + total);
   for (auto& f : frags) {
-    result->head.insert(result->head.end(), f.head.begin(), f.head.end());
-    result->values.Append(f.values);
+    head->insert(head->end(), f.head.begin(), f.head.end());
+    values->Append(f.values);
   }
   m->morsels = std::move(mm);
   return Status::OK();
 }
 
-size_t Evaluator::MorselGroupBy(const int64_t* keys, uint64_t n,
-                                Intermediate* result, OpMetrics* m) {
+void Evaluator::MorselGroupBy(const int64_t* keys, uint64_t n,
+                              Intermediate* result, OpMetrics* m) {
   ParallelAggOptions o;
   o.morsel_rows = MorselRowsForNode(m->node_id);
   o.scheduler = morsel_scheduler().get();
   std::vector<MorselMetrics> mm;
-  const size_t nm = ParallelGroupBy(keys, n, o, &result->group_ids,
-                                    &result->group_keys.i64, &mm);
-  if (nm > 0) m->morsels = std::move(mm);
-  return nm;
+  if (ParallelGroupBy(keys, n, o, &result->group_ids, &result->group_keys.i64,
+                      &mm) > 0) {
+    m->morsels = std::move(mm);
+  }
 }
 
 size_t Evaluator::MorselGroupedAgg(const int64_t* gids, uint64_t n,
@@ -457,22 +461,15 @@ size_t Evaluator::MorselSortPerm(const SortKeys& keys, uint64_t n,
   return nm;
 }
 
-size_t Evaluator::MorselJoinProbe(
-    uint64_t n,
-    const std::function<void(uint64_t, uint64_t, std::vector<oid>*,
-                             std::vector<oid>*)>& probe_span,
-    Intermediate* result, OpMetrics* m) {
-  MorselSource src(0, n, MorselRowsForNode(m->node_id));
+template <typename Span>
+size_t Evaluator::ForEachMorsel(const MorselSource& src, const char* trace_name,
+                                uint64_t in_per_row, OpMetrics* m,
+                                Span&& span) {
   const size_t nm = src.num_morsels();
-  if (nm < 2) return 0;
-
-  // Per-probe match order is the hash chain order of one shared (read-only)
-  // build, so concatenating per-morsel pair fragments in morsel order
-  // reproduces the sequential probe loop bit-for-bit.
-  struct Frag {
-    std::vector<oid> l, r;
-  };
-  std::vector<Frag> frags(nm);
+  if (nm < 2) {
+    span(src.morsel(0));
+    return 1;
+  }
   std::vector<MorselMetrics> mm(nm);
   morsel_scheduler()->ParallelFor(nm, [&](size_t i, int worker) {
     const Morsel ms = src.morsel(i);
@@ -480,25 +477,51 @@ size_t Evaluator::MorselJoinProbe(
         obs::TraceEnabled() && (i & obs::kMorselSampleMask) == 0;
     const uint64_t tt0 = tr ? obs::TraceTicks() : 0;
     const double t0 = NowNs();
-    probe_span(ms.begin, ms.end, &frags[i].l, &frags[i].r);
-    mm[i] = MorselMetrics{ms.size(), frags[i].l.size(), NowNs() - t0, worker};
+    const uint64_t out = span(ms);
+    mm[i] = MorselMetrics{ms.size() * in_per_row, out, NowNs() - t0, worker};
     if (tr) {
-      obs::EmitSpan(obs::SpanKind::kMorsel, "morsel-probe", tt0,
-                    obs::TraceTicks(), m->node_id, static_cast<int64_t>(i),
-                    static_cast<int64_t>(frags[i].l.size()));
+      obs::EmitSpan(obs::SpanKind::kMorsel, trace_name, tt0, obs::TraceTicks(),
+                    m->node_id, static_cast<int64_t>(i),
+                    static_cast<int64_t>(out));
     }
   });
+  m->morsels = std::move(mm);
+  return nm;
+}
 
+void Evaluator::MorselJoinProbe(uint64_t n, const ProbeSpan& probe_span,
+                                Intermediate* result, OpMetrics* m) {
+  // Per-probe match order is the hash chain order of one shared (read-only)
+  // build, so concatenating per-morsel pair fragments in morsel order
+  // reproduces one sequential probe loop bit-for-bit. Each fragment is
+  // reserved to its morsel's input size: a probe emits about one pair per
+  // input row, so most fragments never regrow.
+  const MorselSource src(0, n, MorselRowsForNode(m->node_id));
+  struct Frag {
+    std::vector<oid> l, r;
+  };
+  std::vector<Frag> frags(std::max<size_t>(src.num_morsels(), 1));
+  const size_t nm =
+      ForEachMorsel(src, "morsel-probe", 1, m, [&](const Morsel& ms) {
+        Frag& f = frags[ms.index];
+        f.l.reserve(ms.size());
+        f.r.reserve(ms.size());
+        probe_span(ms.begin, ms.end, &f.l, &f.r);
+        return f.l.size();
+      });
+  if (nm == 1) {
+    result->rowids = std::move(frags[0].l);
+    result->rrowids = std::move(frags[0].r);
+    return;
+  }
   size_t total = 0;
   for (const auto& f : frags) total += f.l.size();
-  result->rowids.reserve(result->rowids.size() + total);
-  result->rrowids.reserve(result->rrowids.size() + total);
+  result->rowids.reserve(total);
+  result->rrowids.reserve(total);
   for (const auto& f : frags) {
     result->rowids.insert(result->rowids.end(), f.l.begin(), f.l.end());
     result->rrowids.insert(result->rrowids.end(), f.r.begin(), f.r.end());
   }
-  m->morsels = std::move(mm);
-  return nm;
 }
 
 std::shared_ptr<HashIndex> Evaluator::GetOrBuildHash(const Column& column) {
@@ -852,16 +875,17 @@ Status Evaluator::ExecFetchJoin(const PlanNode& node, const ExecContext& ctx,
   // is a misalignment error; under kAdjust the boundaries are clipped and the
   // sibling clones (covering the neighbouring slices) produce the rest.
   bool sliced = node.has_slice;
+  std::vector<oid> head;
   if (options_.use_kernels) {
     bool morsels_ran = false;
     APQ_RETURN_NOT_OK(MorselGather(col, *ids, range, sliced, node.align,
-                                   result, m, &morsels_ran));
+                                   &head, &result->values, m, &morsels_ran));
     if (!morsels_ran) {
       APQ_RETURN_NOT_OK(GatherRows(col, *ids, range, sliced, node.align,
-                                   &result->head, &result->values, simd_ops_));
+                                   &head, &result->values, simd_ops_));
     }
   } else {
-    result->head.reserve(ids->size());
+    head.reserve(ids->size());
     result->values.Reserve(ids->size());
     for (oid row : *ids) {
       if (row >= col.size()) {
@@ -877,10 +901,11 @@ Status Evaluator::ExecFetchJoin(const PlanNode& node, const ExecContext& ctx,
         }
         continue;  // kAdjust: clip
       }
-      result->head.push_back(row);
+      head.push_back(row);
       GatherInto(col, row, &result->values);
     }
   }
+  result->head = std::move(head);
   m->tuples_out = result->values.size();
   // Scanning the candidate list is sequential (tuples_in); only the in-slice
   // candidates cost a random gather into the slice's working set.
@@ -891,34 +916,53 @@ Status Evaluator::ExecFetchJoin(const PlanNode& node, const ExecContext& ctx,
   return Status::OK();
 }
 
+namespace {
+
+// The join's probe loop over input positions [b, e): one body for every
+// input shape, instantiated per shape. `key_at(i)` and `row_at(i)` read the
+// probe key and the outer row id of position i, typed for the shape (so no
+// per-row shape or type tests remain); kClip drops outer rows outside
+// `slice`. Matches come from the inlined chain walk in chain order.
+template <bool kClip, typename KeyAt, typename RowAt>
+void ProbeRows(const HashIndex& hash, KeyAt key_at, RowAt row_at,
+               RowRange slice, uint64_t b, uint64_t e, std::vector<oid>* l,
+               std::vector<oid>* r) {
+  for (uint64_t i = b; i < e; ++i) {
+    const oid outer_row = row_at(i);
+    if (kClip && !slice.Contains(outer_row)) continue;
+    hash.ForEachMatch(key_at(i), [&](oid inner_row) {
+      l->push_back(outer_row);
+      r->push_back(inner_row);
+    });
+  }
+}
+
+}  // namespace
+
 Status Evaluator::ExecJoin(const PlanNode& node, const ExecContext& ctx,
                            Intermediate* result, OpMetrics* m) {
   const Column& inner = *node.column2;
   const std::shared_ptr<HashIndex> hash = GetOrBuildHash(inner);
   result->kind = Intermediate::Kind::kPairs;
 
-  // Per-probe matches are appended to the right-side vector by the index;
-  // the outer row id is then replicated in one batched fill instead of
-  // per-match push_backs.
-  auto probe_into = [&hash](int64_t key, oid outer_row, std::vector<oid>* l,
-                            std::vector<oid>* r) {
-    size_t before = r->size();
-    hash->Probe(key, r);
-    l->insert(l->end(), r->size() - before, outer_row);
-  };
   // Each input shape defines its probe loop once, as a span over input
-  // positions [b, e): the morsel-parallel tier (exec/agg) runs it per morsel
-  // into ordered pair fragments, and when that declines (input fits one
-  // morsel, or the scalar interpreter runs) the same span runs over the
-  // whole input into the result vectors. One loop body per shape — the
+  // positions [b, e): the kernels run it per morsel into ordered pair
+  // fragments (one morsel = the whole input), the scalar interpreter over
+  // the whole input into the result vectors. One loop body per shape — the
   // parallel and sequential paths cannot diverge.
-  auto run_probe = [&](uint64_t n,
-                       const std::function<void(uint64_t, uint64_t,
-                                                std::vector<oid>*,
-                                                std::vector<oid>*)>& span) {
-    size_t nm = 0;
-    if (options_.use_kernels) nm = MorselJoinProbe(n, span, result, m);
-    if (nm == 0) {
+  auto run_probe = [&](uint64_t n, bool clip, RowRange slice, auto key_at,
+                       auto row_at) {
+    const ProbeSpan span = [&](uint64_t b, uint64_t e, std::vector<oid>* l,
+                               std::vector<oid>* r) {
+      if (clip) {
+        ProbeRows<true>(*hash, key_at, row_at, slice, b, e, l, r);
+      } else {
+        ProbeRows<false>(*hash, key_at, row_at, slice, b, e, l, r);
+      }
+    };
+    if (options_.use_kernels) {
+      MorselJoinProbe(n, span, result, m);
+    } else {
       result->rowids.reserve(n);
       result->rrowids.reserve(n);
       span(0, n, &result->rowids, &result->rrowids);
@@ -930,52 +974,53 @@ Status Evaluator::ExecJoin(const PlanNode& node, const ExecContext& ctx,
     APQ_INPUT_OF(ctx, node.inputs[0], &in);
     if (in->kind == Intermediate::Kind::kValues) {
       // Probe materialized keys; head gives outer row ids.
-      uint64_t n = in->values.size();
-      bool has_head = !in->head.empty();
-      RowRange range = node.has_slice ? node.slice : in->origin;
+      const uint64_t n = in->values.size();
+      const RowRange range = node.has_slice ? node.slice : in->origin;
       result->origin = range;
       m->tuples_in = n;
-      run_probe(n, [&](uint64_t b, uint64_t e, std::vector<oid>* l,
-                       std::vector<oid>* r) {
-        for (uint64_t i = b; i < e; ++i) {
-          oid outer_row = has_head ? in->head[i] : in->origin.begin + i;
-          if (node.has_slice && !range.Contains(outer_row)) continue;
-          probe_into(in->values.AsInt(i), outer_row, l, r);
+      const oid* head = in->head.empty() ? nullptr : in->head.data();
+      const oid base = in->origin.begin;
+      auto with_keys = [&](auto key_at) {
+        if (head != nullptr) {
+          run_probe(n, node.has_slice, range, key_at,
+                    [head](uint64_t i) { return head[i]; });
+        } else {
+          run_probe(n, node.has_slice, range, key_at,
+                    [base](uint64_t i) { return base + i; });
         }
-      });
+      };
+      if (in->values.is_f64()) {
+        const double* keys = in->values.f64.data();
+        with_keys([keys](uint64_t i) { return static_cast<int64_t>(keys[i]); });
+      } else {
+        const int64_t* keys = in->values.i64.data();
+        with_keys([keys](uint64_t i) { return keys[i]; });
+      }
     } else if (in->kind == Intermediate::Kind::kRowIds) {
       if (!node.column) {
         return Status::InvalidArgument("join over rowids needs an outer column");
       }
-      const Column& outer = *node.column;
-      RowRange range = node.has_slice ? node.slice : in->origin;
+      const int64_t* outer = node.column->i64().data();
+      const RowRange range = node.has_slice ? node.slice : in->origin;
       result->origin = range;
       m->tuples_in = in->rowids.size();
-      const std::vector<oid>& cand = in->rowids;
-      run_probe(cand.size(), [&](uint64_t b, uint64_t e, std::vector<oid>* l,
-                                 std::vector<oid>* r) {
-        for (uint64_t i = b; i < e; ++i) {
-          oid row = cand[i];
-          if (node.has_slice && !range.Contains(row)) continue;
-          probe_into(outer.i64()[row], row, l, r);
-        }
-      });
+      const oid* cand = in->rowids.data();
+      run_probe(in->rowids.size(), node.has_slice, range,
+                [outer, cand](uint64_t i) { return outer[cand[i]]; },
+                [cand](uint64_t i) { return cand[i]; });
     } else {
       return Status::InvalidArgument("join input must be values or rowids");
     }
   } else {
     // Leaf join: dense scan of the outer column slice.
-    const Column& outer = *node.column;
-    RowRange range = node.EffectiveRange();
+    const RowRange range = node.EffectiveRange();
+    const int64_t* outer = node.column->i64().data() + range.begin;
+    const oid base = range.begin;
     result->origin = range;
     m->tuples_in = range.size();
-    run_probe(range.size(), [&](uint64_t b, uint64_t e, std::vector<oid>* l,
-                                std::vector<oid>* r) {
-      for (uint64_t i = b; i < e; ++i) {
-        oid row = range.begin + i;
-        probe_into(outer.i64()[row], row, l, r);
-      }
-    });
+    run_probe(range.size(), /*clip=*/false, range,
+              [outer](uint64_t i) { return outer[i]; },
+              [base](uint64_t i) { return base + i; });
   }
   m->tuples_out = result->rowids.size();
   m->random_accesses = m->tuples_in;
@@ -989,12 +1034,11 @@ Status Evaluator::ExecGroupBy(const PlanNode& node, const ExecContext& ctx,
                               Intermediate* result, OpMetrics* m) {
   result->kind = Intermediate::Kind::kGroups;
 
-  // Sequential ingest (the tiers' differential oracle). The map and key
-  // vector are sized up front from the input cardinality — capped, so a
-  // low-cardinality group-by over millions of rows doesn't pay an O(n)
-  // allocation for a ten-entry map; past the cap, doubling growth costs a
-  // handful of rehashes instead of the per-insert regrowth this replaces.
-  auto ingest_all = [&](auto key_at, uint64_t n) {
+  // Scalar interpreter (the differential oracle): a node-based map, one
+  // emplace per row. The map and key vector are sized up front from the
+  // input cardinality, capped so a low-cardinality group-by over millions of
+  // rows doesn't pay an O(n) allocation for a ten-entry map.
+  auto ingest_scalar = [&](auto key_at, uint64_t n) {
     const uint64_t cap = std::min<uint64_t>(n, uint64_t{1} << 16);
     std::unordered_map<int64_t, int64_t> key_to_gid;
     key_to_gid.reserve(cap);
@@ -1015,20 +1059,24 @@ Status Evaluator::ExecGroupBy(const PlanNode& node, const ExecContext& ctx,
     if (in->kind != Intermediate::Kind::kValues) {
       return Status::InvalidArgument("groupby input must be values");
     }
-    result->group_keys.type = in->values.type;
+    // Keys are int64 on every path: f64 values group by their truncation.
+    result->group_keys.type =
+        in->values.is_f64() ? DataType::kInt64 : in->values.type;
     result->group_keys.dict = in->values.dict;
     result->origin = in->origin;
-    result->head = in->head;
-    uint64_t n = in->values.size();
+    result->head = in->head;  // shared, not copied
+    const uint64_t n = in->values.size();
     m->tuples_in = n;
-    // Parallel ingest (exec/agg tier) needs contiguous int64 keys; f64 group
-    // keys (rare — AsInt truncation per row) stay sequential.
-    size_t nm = 0;
-    if (options_.use_kernels && !in->values.is_f64()) {
-      nm = MorselGroupBy(in->values.i64.data(), n, result, m);
-    }
-    if (nm == 0) {
-      ingest_all([&](uint64_t i) { return in->values.AsInt(i); }, n);
+    if (!options_.use_kernels) {
+      ingest_scalar([&](uint64_t i) { return in->values.AsInt(i); }, n);
+    } else if (in->values.is_f64()) {
+      std::vector<int64_t> keys(n);
+      for (uint64_t i = 0; i < n; ++i) {
+        keys[i] = static_cast<int64_t>(in->values.f64[i]);
+      }
+      MorselGroupBy(keys.data(), n, result, m);
+    } else {
+      MorselGroupBy(in->values.i64.data(), n, result, m);
     }
   } else {
     const Column& col = *node.column;
@@ -1037,14 +1085,11 @@ Status Evaluator::ExecGroupBy(const PlanNode& node, const ExecContext& ctx,
     result->group_keys.type = DataType::kInt64;
     result->origin = range;
     m->tuples_in = range.size();
-    size_t nm = 0;
+    const int64_t* keys = col.i64().data() + range.begin;
     if (options_.use_kernels) {
-      nm = MorselGroupBy(col.i64().data() + range.begin, range.size(), result,
-                         m);
-    }
-    if (nm == 0) {
-      ingest_all([&](uint64_t i) { return col.i64()[range.begin + i]; },
-                 range.size());
+      MorselGroupBy(keys, range.size(), result, m);
+    } else {
+      ingest_scalar([keys](uint64_t i) { return keys[i]; }, range.size());
     }
   }
   m->tuples_out = result->group_ids.size();
@@ -1226,21 +1271,21 @@ Status Evaluator::ExecAggrMerge(const PlanNode& node, const ExecContext& ctx,
   result->kind = Intermediate::Kind::kGroupedAgg;
   result->group_keys.type = in->group_keys.type;
   result->group_keys.dict = in->group_keys.dict;
-  std::unordered_map<int64_t, size_t> key_to_slot;
+  // Slots are numbered in first-occurrence order of the partial keys.
+  AggTable key_to_slot;
+  const double init = node.agg_fn == AggFn::kMin ? 1e300
+                      : node.agg_fn == AggFn::kMax ? -1e300
+                                                   : 0.0;
   uint64_t n = in->agg_vals.size();
   m->tuples_in = n;
   for (uint64_t i = 0; i < n; ++i) {
     int64_t key = in->group_keys.AsInt(i);
-    auto [it, inserted] = key_to_slot.emplace(key, result->agg_vals.size());
-    if (inserted) {
+    const uint32_t slot = key_to_slot.FindOrInsert(key, i);
+    if (slot == result->agg_vals.size()) {
       result->group_keys.i64.push_back(key);
-      double init = node.agg_fn == AggFn::kMin ? 1e300
-                   : node.agg_fn == AggFn::kMax ? -1e300
-                                                : 0.0;
       result->agg_vals.push_back(init);
       result->agg_counts.push_back(0);
     }
-    size_t slot = it->second;
     double v = in->agg_vals[i];
     int64_t c = in->agg_counts.empty() ? 1 : in->agg_counts[i];
     switch (node.agg_fn) {
@@ -1349,14 +1394,15 @@ Status Evaluator::ExecUnion(const PlanNode& node, const ExecContext& ctx,
         heads += in->head.size();
       }
       result->values.Reserve(total);
-      result->head.reserve(heads);
+      std::vector<oid> head;
+      head.reserve(heads);
       for (const auto* in : ins) {
         result->values.Append(in->values);
-        result->head.insert(result->head.end(), in->head.begin(),
-                            in->head.end());
+        head.insert(head.end(), in->head.begin(), in->head.end());
         result->origin.begin = std::min(result->origin.begin, in->origin.begin);
         result->origin.end = std::max(result->origin.end, in->origin.end);
       }
+      result->head = std::move(head);
       break;
     }
     case Intermediate::Kind::kScalar: {
@@ -1465,8 +1511,7 @@ Status Evaluator::ExecMap(const PlanNode& node, const ExecContext& ctx,
   }
   result->kind = Intermediate::Kind::kValues;
   result->values.type = DataType::kFloat64;
-  result->values.f64.reserve(n);
-  result->head = a->head;
+  result->head = a->head;  // shared, not copied
   result->origin = a->origin;
   m->tuples_in = n * (b ? 2 : 1);
 
@@ -1479,34 +1524,55 @@ Status Evaluator::ExecMap(const PlanNode& node, const ExecContext& ctx,
     like_match = BuildLikeMatch(*a->values.dict, node.pred);
   }
 
-  for (uint64_t i = 0; i < n; ++i) {
-    double x = a->values.AsDouble(i);
-    double y = b ? b->values.AsDouble(i) : node.map_const;
-    double r = 0;
-    switch (node.map_fn) {
-      case MapFn::kAdd: r = x + y; break;
-      case MapFn::kSub: r = x - y; break;
-      case MapFn::kRSub: r = y - x; break;
-      case MapFn::kMul: r = x * y; break;
-      case MapFn::kDiv: r = y == 0 ? 0 : x / y; break;
-      case MapFn::kLikeFlag:
-        r = like_match[a->values.i64[i]] ? 1.0 : 0.0;
-        break;
-      case MapFn::kEqFlag:
-        r = a->values.AsInt(i) == node.pred.lo ? 1.0 : 0.0;
-        break;
-      case MapFn::kRangeFlag: {
-        if (node.pred.kind == Predicate::Kind::kRangeF64) {
-          r = (x >= node.pred.flo && x <= node.pred.fhi) ? 1.0 : 0.0;
-        } else {
-          int64_t v = a->values.AsInt(i);
-          r = (v >= node.pred.lo && v <= node.pred.hi) ? 1.0 : 0.0;
+  if (options_.use_kernels) {
+    // One typed loop per (function x operand types) over a span of rows,
+    // split per morsel; every morsel writes its own span of the output.
+    result->values.f64.resize(n);
+    double* out = result->values.f64.data();
+    MapArgs args;
+    args.fn = node.map_fn;
+    args.a = &a->values;
+    args.b = b ? &b->values : nullptr;
+    args.c = node.map_const;
+    args.pred = &node.pred;
+    args.like_match = like_match.data();
+    ForEachMorsel(MorselSource(0, n, MorselRowsForNode(node.id)), "morsel-map",
+                  b ? 2 : 1, m, [&](const Morsel& ms) {
+                    MapSpan(args, ms.begin, ms.end, out);
+                    return ms.size();
+                  });
+  } else {
+    // Scalar reference path: per-row switch over the map function.
+    result->values.f64.reserve(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      double x = a->values.AsDouble(i);
+      double y = b ? b->values.AsDouble(i) : node.map_const;
+      double r = 0;
+      switch (node.map_fn) {
+        case MapFn::kAdd: r = x + y; break;
+        case MapFn::kSub: r = x - y; break;
+        case MapFn::kRSub: r = y - x; break;
+        case MapFn::kMul: r = x * y; break;
+        case MapFn::kDiv: r = y == 0 ? 0 : x / y; break;
+        case MapFn::kLikeFlag:
+          r = like_match[a->values.i64[i]] ? 1.0 : 0.0;
+          break;
+        case MapFn::kEqFlag:
+          r = a->values.AsInt(i) == node.pred.lo ? 1.0 : 0.0;
+          break;
+        case MapFn::kRangeFlag: {
+          if (node.pred.kind == Predicate::Kind::kRangeF64) {
+            r = (x >= node.pred.flo && x <= node.pred.fhi) ? 1.0 : 0.0;
+          } else {
+            int64_t v = a->values.AsInt(i);
+            r = (v >= node.pred.lo && v <= node.pred.hi) ? 1.0 : 0.0;
+          }
+          break;
         }
-        break;
+        case MapFn::kNone: break;
       }
-      case MapFn::kNone: break;
+      result->values.f64.push_back(r);
     }
-    result->values.f64.push_back(r);
   }
   m->tuples_out = n;
   m->bytes_in = m->tuples_in * 8;
@@ -1572,8 +1638,8 @@ Status Evaluator::ExecSort(const PlanNode& node, const ExecContext& ctx,
     const uint64_t n = in->values.size();
     std::vector<uint64_t> perm;
     sort_perm(keys_of(in->values), n, &perm);
-    GatherPermuted(in->values, in->head.empty() ? nullptr : &in->head, perm,
-                   result);
+    GatherPermuted(in->values, in->head.empty() ? nullptr : in->head.data(),
+                   perm, result);
     result->origin = in->origin;
     m->tuples_in = n;
     m->tuples_out = perm.size();
@@ -1609,7 +1675,7 @@ Status Evaluator::ExecSort(const PlanNode& node, const ExecContext& ctx,
     const uint64_t n = vals.size();
     std::vector<uint64_t> perm;
     sort_perm(keys_of(vals), n, &perm);
-    GatherPermuted(vals, &head, perm, result);
+    GatherPermuted(vals, head.data(), perm, result);
     result->origin = range;
     m->tuples_in = in->rowids.size();
     m->tuples_out = perm.size();
@@ -1641,12 +1707,14 @@ Status Evaluator::ExecSort(const PlanNode& node, const ExecContext& ctx,
     result->values = MakeVecLike(col);
     result->origin = range;
     result->values.Reserve(perm.size());
-    result->head.reserve(perm.size());
+    std::vector<oid> head;
+    head.reserve(perm.size());
     for (uint64_t i : perm) {
       const oid row = range.begin + i;
       GatherInto(col, row, &result->values);
-      result->head.push_back(row);
+      head.push_back(row);
     }
+    result->head = std::move(head);
     m->tuples_in = n;
     m->tuples_out = perm.size();
     m->sort_rows = n;

@@ -9,11 +9,16 @@
 // wave of ready nodes (e.g. exchange clone subtrees) concurrently, and every
 // operator whose input spans more than one morsel splits into morsel tasks.
 //
-// The hot path is vectorized: selects and fetch-joins run through the batch
-// kernels in exec/kernels.h (selection vectors, branch-hoisted tight loops).
-// The original row-at-a-time interpreter is retained behind
-// ExecOptions::use_kernels = false as a reference implementation for
-// correctness tests and the scalar-vs-vectorized microbenchmarks.
+// The hot path runs on the kernel tier: selects, fetch-joins and maps run
+// through the batch kernels in exec/kernels.h (selection vectors, one typed
+// tight loop per predicate or map function and operand type), join probes
+// walk the hash chain inline in one typed loop per input shape, and group-by
+// and aggregate merges ingest through the flat AggTable (exec/agg/). Each of
+// these runs per morsel when its input splits. Maps and group-bys share
+// their input's head row ids instead of copying them. The original
+// row-at-a-time interpreter is retained behind ExecOptions::use_kernels =
+// false as a reference implementation for correctness tests and the
+// scalar-vs-vectorized microbenchmarks.
 #ifndef APQ_EXEC_EVALUATOR_H_
 #define APQ_EXEC_EVALUATOR_H_
 
@@ -252,17 +257,19 @@ class Evaluator {
                                 const std::vector<uint8_t>* like_match,
                                 const std::vector<oid>& candidates,
                                 Intermediate* result, OpMetrics* m);
-  /// Morsel-parallel fetch-join gather; on success appends to result->head /
-  /// result->values. `*ran` reports whether the morsel path was taken.
+  /// Morsel-parallel fetch-join gather; on success appends to `head` /
+  /// `values`. `*ran` reports whether the morsel path was taken.
   Status MorselGather(const Column& col, const std::vector<oid>& ids,
                       RowRange range, bool sliced, AlignPolicy align,
-                      Intermediate* result, OpMetrics* m, bool* ran);
+                      std::vector<oid>* head, ValueVec* values, OpMetrics* m,
+                      bool* ran);
 
-  /// Morsel-parallel group-by ingest over keys[0..n) (exec/agg/): fills
+  /// Group-by ingest over keys[0..n) through AggTable (exec/agg/): fills
   /// result->group_ids / group_keys.i64 in the scalar first-occurrence
-  /// order. Returns morsels run (0 = take the sequential path).
-  size_t MorselGroupBy(const int64_t* keys, uint64_t n, Intermediate* result,
-                       OpMetrics* m);
+  /// order, per morsel on the scheduler when the input splits, in one table
+  /// on this thread otherwise.
+  void MorselGroupBy(const int64_t* keys, uint64_t n, Intermediate* result,
+                     OpMetrics* m);
 
   /// Morsel-parallel grouped aggregation into the pre-initialized
   /// result->agg_vals / agg_counts (AVG left undivided, as sequentially).
@@ -283,15 +290,27 @@ class Evaluator {
                         uint64_t limit, std::vector<uint64_t>* perm,
                         OpMetrics* m);
 
-  /// Morsel-parallel hash-join probe: `probe_span(begin, end, l, r)` probes
-  /// input positions [begin, end) appending matches to the fragment vectors;
-  /// fragments are concatenated in morsel order onto result->rowids/rrowids
-  /// — bit-identical to one sequential probe over [0, n).
-  size_t MorselJoinProbe(
-      uint64_t n,
-      const std::function<void(uint64_t, uint64_t, std::vector<oid>*,
-                               std::vector<oid>*)>& probe_span,
-      Intermediate* result, OpMetrics* m);
+  /// Runs `span(morsel)` over every morsel of `src`: on the scheduler when
+  /// there are two or more, else once inline (an empty or one-morsel input
+  /// is the whole input), so an operator keeps one loop body for both.
+  /// `span` returns the tuples its morsel produced. Per-morsel metrics
+  /// (tuples_in = rows x `in_per_row`) land in m->morsels only when the
+  /// input split. Returns the number of spans run (>= 1).
+  template <typename Span>
+  size_t ForEachMorsel(const MorselSource& src, const char* trace_name,
+                       uint64_t in_per_row, OpMetrics* m, Span&& span);
+
+  /// A join's probe loop over input positions [begin, end), appending
+  /// (outer, inner) matches to the two vectors.
+  using ProbeSpan = std::function<void(uint64_t, uint64_t, std::vector<oid>*,
+                                       std::vector<oid>*)>;
+
+  /// Morsel-parallel hash-join probe: runs `probe_span` per morsel into
+  /// ordered pair fragments and sets result->rowids/rrowids to their
+  /// concatenation in morsel order — bit-identical to one sequential probe
+  /// over [0, n). A one-morsel input probes straight into the result.
+  void MorselJoinProbe(uint64_t n, const ProbeSpan& probe_span,
+                       Intermediate* result, OpMetrics* m);
 
   std::shared_ptr<HashIndex> GetOrBuildHash(const Column& column);
 

@@ -24,15 +24,6 @@ std::shared_ptr<HashIndex> HashIndex::Build(const Column& column,
   return idx;
 }
 
-void HashIndex::Probe(int64_t key, std::vector<oid>* out) const {
-  const auto& vals = column_->i64();
-  uint64_t slot = Mix(key) & mask_;
-  for (uint32_t cur = buckets_[slot]; cur != 0; cur = next_[cur - 1]) {
-    oid row = range_.begin + (cur - 1);
-    if (vals[row] == key) out->push_back(row);
-  }
-}
-
 oid HashIndex::ProbeFirst(int64_t key) const {
   const auto& vals = column_->i64();
   uint64_t slot = Mix(key) & mask_;

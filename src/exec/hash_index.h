@@ -23,8 +23,23 @@ class HashIndex {
   /// Builds an index over column values in [range.begin, range.end).
   static std::shared_ptr<HashIndex> Build(const Column& column, RowRange range);
 
-  /// Appends all rows whose key equals `key` to `out`.
-  void Probe(int64_t key, std::vector<oid>* out) const;
+  /// Calls `f(row)` for every row whose key equals `key`, in chain order.
+  /// Header-level so the join's probe loop inlines the chain walk instead of
+  /// making one out-of-line call per probed row.
+  template <typename F>
+  void ForEachMatch(int64_t key, F&& f) const {
+    const int64_t* vals = column_->i64().data();
+    for (uint32_t cur = buckets_[Mix(key) & mask_]; cur != 0;
+         cur = next_[cur - 1]) {
+      const oid row = range_.begin + (cur - 1);
+      if (vals[row] == key) f(row);
+    }
+  }
+
+  /// Appends all rows whose key equals `key` to `out`, in chain order.
+  void Probe(int64_t key, std::vector<oid>* out) const {
+    ForEachMatch(key, [out](oid row) { out->push_back(row); });
+  }
 
   /// First row matching `key`, or kInvalidOid.
   oid ProbeFirst(int64_t key) const;

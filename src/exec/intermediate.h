@@ -7,7 +7,9 @@
 #define APQ_EXEC_INTERMEDIATE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "storage/column.h"
@@ -43,6 +45,59 @@ struct ValueVec {
   }
 };
 
+/// \brief An immutable, reference-counted row-id buffer: the head of a
+/// values intermediate. A producer builds a std::vector<oid> and publishes it
+/// once (the converting constructor adopts it without copying); an operator
+/// that passes its input's head through (maps, group-by) shares the buffer
+/// instead of copying it. Copies are O(1), and no holder can write through
+/// one, so shared heads are safe to read from any worker.
+class SharedOids {
+ public:
+  using value_type = oid;
+  using const_iterator = std::vector<oid>::const_iterator;
+  using iterator = const_iterator;
+
+  SharedOids() = default;
+  SharedOids(std::vector<oid> ids)  // NOLINT(runtime/explicit): publishes
+      : buf_(ids.empty() ? nullptr
+                         : std::make_shared<const std::vector<oid>>(
+                               std::move(ids))) {}
+
+  uint64_t size() const { return buf_ ? buf_->size() : 0; }
+  bool empty() const { return size() == 0; }
+  oid operator[](uint64_t i) const { return (*buf_)[i]; }
+  const oid* data() const { return buf_ ? buf_->data() : nullptr; }
+  const std::vector<oid>& vec() const { return buf_ ? *buf_ : Empty(); }
+  const_iterator begin() const { return vec().begin(); }
+  const_iterator end() const { return vec().end(); }
+
+  /// True when both hold the same buffer (a forwarded, not copied, head).
+  bool SharesBufferWith(const SharedOids& other) const {
+    return buf_ != nullptr && buf_ == other.buf_;
+  }
+
+  friend bool operator==(const SharedOids& a, const SharedOids& b) {
+    return a.buf_ == b.buf_ || a.vec() == b.vec();
+  }
+  friend bool operator!=(const SharedOids& a, const SharedOids& b) {
+    return !(a == b);
+  }
+  friend bool operator==(const SharedOids& a, const std::vector<oid>& b) {
+    return a.vec() == b;
+  }
+  friend bool operator==(const std::vector<oid>& a, const SharedOids& b) {
+    return a == b.vec();
+  }
+
+ private:
+  static const std::vector<oid>& Empty() {
+    static const std::vector<oid> empty;
+    return empty;
+  }
+
+  std::shared_ptr<const std::vector<oid>> buf_;
+};
+
 /// \brief The result of one operator execution.
 struct Intermediate {
   enum class Kind : uint8_t {
@@ -66,8 +121,9 @@ struct Intermediate {
   std::vector<oid> rrowids;
 
   // kValues: values and (optional) head row ids aligned 1:1 with values.
+  // The head is shared, never copied, by operators that forward it.
   ValueVec values;
-  std::vector<oid> head;
+  SharedOids head;
 
   // kGroups: group id per input position; keys indexed by group id.
   std::vector<int64_t> group_ids;

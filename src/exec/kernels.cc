@@ -540,4 +540,119 @@ Status GatherRowsAt(const Column& col, const oid* ids, size_t n,
   return Status::OK();
 }
 
+namespace {
+
+// ---- map loops ---------------------------------------------------------------
+// Operand readers and element functions for MapSpan. A reader yields its
+// operand the way the scalar interpreter's ValueVec accessors do (R = double
+// is AsDouble, R = int64_t is AsInt); each function is one arm of the
+// interpreter's per-row MapFn switch.
+
+template <typename T, typename R>
+struct VecOperand {
+  const T* p;
+  R operator()(uint64_t i) const { return static_cast<R>(p[i]); }
+};
+struct ConstOperand {
+  double c;
+  double operator()(uint64_t) const { return c; }
+};
+
+// Calls fn with a typed reader over v's storage.
+template <typename R, typename Fn>
+void WithOperand(const ValueVec& v, Fn fn) {
+  if (v.is_f64()) {
+    fn(VecOperand<double, R>{v.f64.data()});
+  } else {
+    fn(VecOperand<int64_t, R>{v.i64.data()});
+  }
+}
+
+struct AddFn {
+  double operator()(double x, double y) const { return x + y; }
+};
+struct SubFn {
+  double operator()(double x, double y) const { return x - y; }
+};
+struct RSubFn {
+  double operator()(double x, double y) const { return y - x; }
+};
+struct MulFn {
+  double operator()(double x, double y) const { return x * y; }
+};
+struct DivFn {
+  double operator()(double x, double y) const { return y == 0 ? 0 : x / y; }
+};
+
+template <typename F>
+void MapArith(const MapArgs& args, F f, uint64_t begin, uint64_t end,
+              double* out) {
+  WithOperand<double>(*args.a, [&](auto x) {
+    auto loop = [&](auto y) {
+      for (uint64_t i = begin; i < end; ++i) out[i] = f(x(i), y(i));
+    };
+    if (args.b == nullptr) {
+      loop(ConstOperand{args.c});
+    } else {
+      WithOperand<double>(*args.b, loop);
+    }
+  });
+}
+
+// Flags convert the test's bool to 1.0/0.0 without a branch: flag inputs
+// are data-dependent (a LIKE over dictionary codes), and a mispredicted
+// branch per row costs more than the whole loop body.
+template <typename X, typename Test>
+void FlagLoop(X x, Test test, uint64_t begin, uint64_t end, double* out) {
+  for (uint64_t i = begin; i < end; ++i) {
+    out[i] = static_cast<double>(test(x(i)));
+  }
+}
+
+}  // namespace
+
+void MapSpan(const MapArgs& args, uint64_t begin, uint64_t end, double* out) {
+  switch (args.fn) {
+    case MapFn::kAdd: MapArith(args, AddFn{}, begin, end, out); return;
+    case MapFn::kSub: MapArith(args, SubFn{}, begin, end, out); return;
+    case MapFn::kRSub: MapArith(args, RSubFn{}, begin, end, out); return;
+    case MapFn::kMul: MapArith(args, MulFn{}, begin, end, out); return;
+    case MapFn::kDiv: MapArith(args, DivFn{}, begin, end, out); return;
+    case MapFn::kLikeFlag: {
+      const uint8_t* match = args.like_match;
+      FlagLoop(VecOperand<int64_t, int64_t>{args.a->i64.data()},
+               [match](int64_t code) { return match[code] != 0; }, begin, end,
+               out);
+      return;
+    }
+    case MapFn::kEqFlag: {
+      const int64_t v0 = args.pred->lo;
+      WithOperand<int64_t>(*args.a, [&](auto x) {
+        FlagLoop(x, [v0](int64_t v) { return v == v0; }, begin, end, out);
+      });
+      return;
+    }
+    case MapFn::kRangeFlag: {
+      const Predicate& p = *args.pred;
+      if (p.kind == Predicate::Kind::kRangeF64) {
+        const double lo = p.flo, hi = p.fhi;
+        WithOperand<double>(*args.a, [&](auto x) {
+          FlagLoop(x, [lo, hi](double v) { return (v >= lo) & (v <= hi); },
+                   begin, end, out);
+        });
+      } else {
+        const int64_t lo = p.lo, hi = p.hi;
+        WithOperand<int64_t>(*args.a, [&](auto x) {
+          FlagLoop(x, [lo, hi](int64_t v) { return (v >= lo) & (v <= hi); },
+                   begin, end, out);
+        });
+      }
+      return;
+    }
+    case MapFn::kNone:
+      std::fill(out + begin, out + end, 0.0);
+      return;
+  }
+}
+
 }  // namespace apq

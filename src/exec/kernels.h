@@ -95,6 +95,26 @@ Status GatherRowsAt(const Column& col, const oid* ids, size_t n,
                     ValueVec* values, uint64_t offset,
                     const simd::SimdOps* ops = nullptr);
 
+/// \brief Operands of a values map (calc.* / batstr.like + ifthenelse).
+struct MapArgs {
+  MapFn fn = MapFn::kNone;
+  const ValueVec* a = nullptr;  ///< first operand, required
+  const ValueVec* b = nullptr;  ///< second operand; null = the constant `c`
+  double c = 0.0;
+  const Predicate* pred = nullptr;  ///< kEqFlag / kRangeFlag predicate
+  /// kLikeFlag: BuildLikeMatch table over a's dictionary (a holds codes).
+  const uint8_t* like_match = nullptr;
+};
+
+/// Map kernel: writes the map of input positions [begin, end) to
+/// out[begin, end). Dispatch on the map function and the operand types
+/// happens once per call; each (function x operand types) pairing is its own
+/// tight loop. Per element it computes exactly what the scalar interpreter
+/// computes — operands read as double (i64 and dictionary codes cast), kDiv
+/// by zero yields 0, flags are 1.0/0.0 — so disjoint spans of one output may
+/// be written concurrently and the result is bit-identical at any split.
+void MapSpan(const MapArgs& args, uint64_t begin, uint64_t end, double* out);
+
 }  // namespace apq
 
 #endif  // APQ_EXEC_KERNELS_H_

@@ -76,6 +76,36 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, AdaptiveTpcdsTest,
                          ::testing::Values("DS1", "DS2", "DS3", "DS4", "DS5"),
                          [](const auto& info) { return info.param; });
 
+// The outcome keeps only run 0's plan and the current GME candidate's, not
+// one clone per run: the plan it returns must still be the one that
+// executed as gme_run.
+TEST(AdaptiveGmePlanTest, GmePlanIsThePlanThatRanAsGmeRun) {
+  TpchConfig hcfg;
+  hcfg.lineitem_rows = 30'000;
+  auto tpch = Tpch::Generate(hcfg);
+  TpcdsConfig dcfg;
+  dcfg.store_sales_rows = 30'000;
+  auto tpcds = Tpcds::Generate(dcfg);
+  int past_serial = 0;
+  for (bool ds : {false, true}) {
+    Engine engine(SmallEngine());
+    auto serial = ds ? Tpcds::Query(*tpcds, "DS1") : Tpch::Query(*tpch, "Q9");
+    ASSERT_TRUE(serial.ok());
+    auto out = engine.RunAdaptive(serial.ValueOrDie());
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    const AdaptiveOutcome& o = out.ValueOrDie();
+    ASSERT_GE(o.gme_run, 0);
+    ASSERT_LT(o.gme_run, static_cast<int>(o.runs.size()));
+    EXPECT_EQ(o.gme_plan.Stats().ToString(),
+              o.runs[o.gme_run].plan_stats.ToString())
+        << (ds ? "DS1" : "Q9") << " gme_run=" << o.gme_run;
+    if (o.gme_run > 0) ++past_serial;
+  }
+  // At least one query converged past its serial plan, so the candidate
+  // plan (not only run 0's) was checked.
+  EXPECT_GE(past_serial, 1);
+}
+
 TEST(AdaptiveSpeedupTest, SelectPlanApproachesHeuristicPerformance) {
   TpchConfig cfg;
   cfg.lineitem_rows = 100'000;
