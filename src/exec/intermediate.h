@@ -53,9 +53,7 @@ struct ValueVec {
 /// one, so shared heads are safe to read from any worker.
 class SharedOids {
  public:
-  using value_type = oid;
   using const_iterator = std::vector<oid>::const_iterator;
-  using iterator = const_iterator;
 
   SharedOids() = default;
   SharedOids(std::vector<oid> ids)  // NOLINT(runtime/explicit): publishes
@@ -84,9 +82,6 @@ class SharedOids {
   }
   friend bool operator==(const SharedOids& a, const std::vector<oid>& b) {
     return a.vec() == b;
-  }
-  friend bool operator==(const std::vector<oid>& a, const SharedOids& b) {
-    return a == b.vec();
   }
 
  private:
