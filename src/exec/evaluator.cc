@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 
 #include "exec/agg/agg_table.h"
@@ -138,6 +139,41 @@ uint64_t ForcedMorselRowsFromEnv() {
   return forced;
 }
 
+// Concatenates one part of per-morsel fragments in morsel order (`part`
+// names the vector of a fragment); a lone fragment, i.e. a one-morsel input,
+// is moved instead of copied.
+template <typename Frag, typename Part>
+auto ConcatFragments(std::vector<Frag>* frags, Part part) {
+  using Vec = std::remove_reference_t<decltype(part(frags->front()))>;
+  if (frags->size() == 1) return Vec(std::move(part(frags->front())));
+  size_t total = 0;
+  for (Frag& f : *frags) total += part(f).size();
+  Vec out;
+  out.reserve(total);
+  for (Frag& f : *frags) {
+    const Vec& v = part(f);
+    out.insert(out.end(), v.begin(), v.end());
+  }
+  return out;
+}
+
+// What a morsel over positions `ms` of a candidate / fetch-join id list
+// produced. Ids from selects are ascending, so [first id, last id + 1) is
+// the base-row domain the morsel covers; the skew-aware mutator validates
+// monotonicity before using it (pairs-fed id lists may be unsorted). A
+// sliced clone only owns its slice's share of the id span: a morsel whose
+// span crosses `slice` (fully or partially) has its tuple counts diluted by
+// clip-only ids, so its domain is withheld rather than letting the mutator
+// mistake clipping for skew.
+MorselOut IdSpanOut(uint64_t tuples, const oid* ids, const Morsel& ms,
+                    RowRange slice) {
+  if (ms.size() == 0) return MorselOut{tuples};
+  const uint64_t db = ids[ms.begin];
+  const uint64_t de = ids[ms.end - 1] + 1;
+  if (db < slice.begin || de > slice.end) return MorselOut{tuples};
+  return MorselOut{tuples, db, de};
+}
+
 // Per-op-kind tuple-flow counters (every tier funnels through ExecNode, so
 // these cover kernels, morsels, parallel agg/sort/probe and SIMD alike).
 // Resolved once per process; the per-run update is one relaxed add per
@@ -182,214 +218,6 @@ uint64_t Evaluator::MorselRowsForNode(int node_id) const {
     if (it != adaptive_rows_.end() && it->second > 0) return it->second;
   }
   return EffectiveMorselRows();
-}
-
-size_t Evaluator::MorselSelectDense(const Column& col, RowRange range,
-                                    const Predicate& pred,
-                                    const std::vector<uint8_t>* like_match,
-                                    Intermediate* result, OpMetrics* m) {
-  MorselSource src(range, MorselRowsForNode(m->node_id));
-  const size_t nm = src.num_morsels();
-  if (nm < 2) return 0;  // one morsel = whole column; skip the detour
-
-  // Each morsel selects into its own fragment; concatenation in morsel order
-  // reproduces the whole-column scan bit-for-bit (SelectDense appends row ids
-  // in row order within its subrange).
-  std::vector<std::vector<oid>> frags(nm);
-  std::vector<MorselMetrics> mm(nm);
-  morsel_scheduler()->ParallelFor(nm, [&](size_t i, int worker) {
-    const Morsel ms = src.morsel(i);
-    // Sampled by deterministic morsel index, so the trace never depends on
-    // which worker ran the morsel (determinism) and hot loops pay at most
-    // one span per kMorselSampleMask+1 tasks.
-    const bool tr =
-        obs::TraceEnabled() && (i & obs::kMorselSampleMask) == 0;
-    const uint64_t tt0 = tr ? obs::TraceTicks() : 0;
-    const double t0 = NowNs();
-    SelectDense(col, RowRange{ms.begin, ms.end}, pred, like_match, &frags[i],
-                simd_ops_);
-    mm[i] = MorselMetrics{ms.size(), frags[i].size(), NowNs() - t0, worker,
-                          ms.begin, ms.end};
-    if (tr) {
-      obs::EmitSpan(obs::SpanKind::kMorsel, "morsel-select", tt0,
-                    obs::TraceTicks(), m->node_id, static_cast<int64_t>(i),
-                    static_cast<int64_t>(frags[i].size()));
-    }
-  });
-
-  size_t total = 0;
-  for (const auto& f : frags) total += f.size();
-  result->rowids.reserve(result->rowids.size() + total);
-  for (const auto& f : frags) {
-    result->rowids.insert(result->rowids.end(), f.begin(), f.end());
-  }
-  m->morsels = std::move(mm);
-  return nm;
-}
-
-size_t Evaluator::MorselSelectCandidates(const Column& col, RowRange range,
-                                         const Predicate& pred,
-                                         const std::vector<uint8_t>* like_match,
-                                         const std::vector<oid>& candidates,
-                                         Intermediate* result, OpMetrics* m) {
-  MorselSource src(0, candidates.size(), MorselRowsForNode(m->node_id));
-  const size_t nm = src.num_morsels();
-  if (nm < 2) return 0;
-
-  std::vector<std::vector<oid>> frags(nm);
-  std::vector<uint64_t> accesses(nm, 0);
-  std::vector<MorselMetrics> mm(nm);
-  morsel_scheduler()->ParallelFor(nm, [&](size_t i, int worker) {
-    const Morsel ms = src.morsel(i);
-    const bool tr =
-        obs::TraceEnabled() && (i & obs::kMorselSampleMask) == 0;
-    const uint64_t tt0 = tr ? obs::TraceTicks() : 0;
-    const double t0 = NowNs();
-    SelectCandidatesSpan(col, range, pred, like_match,
-                         candidates.data() + ms.begin, ms.size(), &frags[i],
-                         &accesses[i], simd_ops_);
-    // Ascending candidate span; a span crossing this clone's slice boundary
-    // reports no domain (see MorselGather's domain note — the tuple counts
-    // would be diluted by clip-only candidates).
-    uint64_t db = candidates[ms.begin];
-    uint64_t de = candidates[ms.end - 1] + 1;
-    if (db < range.begin || de > range.end) db = de = 0;
-    mm[i] = MorselMetrics{ms.size(), frags[i].size(), NowNs() - t0, worker,
-                          db, de};
-    if (tr) {
-      obs::EmitSpan(obs::SpanKind::kMorsel, "morsel-select-cand", tt0,
-                    obs::TraceTicks(), m->node_id, static_cast<int64_t>(i),
-                    static_cast<int64_t>(frags[i].size()));
-    }
-  });
-
-  size_t total = 0;
-  for (const auto& f : frags) total += f.size();
-  result->rowids.reserve(result->rowids.size() + total);
-  for (size_t i = 0; i < nm; ++i) {
-    result->rowids.insert(result->rowids.end(), frags[i].begin(),
-                          frags[i].end());
-    m->random_accesses += accesses[i];
-  }
-  m->morsels = std::move(mm);
-  return nm;
-}
-
-Status Evaluator::MorselGather(const Column& col, const std::vector<oid>& ids,
-                               RowRange range, bool sliced, AlignPolicy align,
-                               std::vector<oid>* head, ValueVec* values,
-                               OpMetrics* m, bool* ran) {
-  *ran = false;
-  MorselSource src(0, ids.size(), MorselRowsForNode(m->node_id));
-  const size_t nm = src.num_morsels();
-  if (nm < 2) return Status::OK();
-  *ran = true;
-  // Candidate row ids from selects are ascending, so [first, last+1) is the
-  // base-row domain this morsel covers; the skew-aware mutator validates
-  // monotonicity before using it (pairs-fed id lists may be unsorted). A
-  // sliced clone only owns its slice's share of the candidate span — a
-  // morsel whose span crosses the slice boundary (fully or partially) has
-  // its tuple counts diluted by clip-only candidates, so its domain is
-  // reported unknown and the operator's tuple-skew signal is withheld
-  // rather than mistaking clipping for skew.
-  auto domain = [&ids, &range, sliced](const Morsel& ms) {
-    uint64_t db = ids[ms.begin];
-    uint64_t de = ids[ms.end - 1] + 1;
-    if (sliced && (db < range.begin || de > range.end)) {
-      return std::pair<uint64_t, uint64_t>{0, 0};
-    }
-    return std::pair<uint64_t, uint64_t>{db, de};
-  };
-
-  // Without kAdjust clipping every id yields exactly one output (strict
-  // slices validate, they don't drop), so morsel i owns exactly the output
-  // span [ms.begin, ms.end): workers gather straight into the pre-sized
-  // result — no fragment vectors, no second concatenation pass.
-  if (!(sliced && align == AlignPolicy::kAdjust)) {
-    const size_t hbase = head->size();
-    const uint64_t vbase = values->size();
-    head->resize(hbase + ids.size());
-    if (values->is_f64()) {
-      values->f64.resize(vbase + ids.size());
-    } else {
-      values->i64.resize(vbase + ids.size());
-    }
-    std::vector<Status> statuses(nm);
-    std::vector<MorselMetrics> direct_mm(nm);
-    morsel_scheduler()->ParallelFor(nm, [&](size_t i, int worker) {
-      const Morsel ms = src.morsel(i);
-      const bool tr =
-          obs::TraceEnabled() && (i & obs::kMorselSampleMask) == 0;
-      const uint64_t tt0 = tr ? obs::TraceTicks() : 0;
-      const double t0 = NowNs();
-      statuses[i] = GatherRowsAt(col, ids.data() + ms.begin, ms.size(), range,
-                                 /*strict_sliced=*/sliced,
-                                 head->data() + hbase + ms.begin, values,
-                                 vbase + ms.begin, simd_ops_);
-      const auto [db, de] = domain(ms);
-      direct_mm[i] =
-          MorselMetrics{ms.size(), ms.size(), NowNs() - t0, worker, db, de};
-      if (tr) {
-        obs::EmitSpan(obs::SpanKind::kMorsel, "morsel-gather", tt0,
-                      obs::TraceTicks(), m->node_id, static_cast<int64_t>(i),
-                      static_cast<int64_t>(ms.size()));
-      }
-    });
-    // Lowest failing morsel = input-order first offender, matching the
-    // whole-list error; the partially written result is discarded upstream.
-    for (const auto& st : statuses) {
-      if (!st.ok()) return st;
-    }
-    m->morsels = std::move(direct_mm);
-    return Status::OK();
-  }
-
-  struct Frag {
-    std::vector<oid> head;
-    ValueVec values;
-    Status status = Status::OK();
-  };
-  std::vector<Frag> frags(nm);
-  for (auto& f : frags) {
-    f.values.type = values->type;
-    f.values.dict = values->dict;
-  }
-  std::vector<MorselMetrics> mm(nm);
-  morsel_scheduler()->ParallelFor(nm, [&](size_t i, int worker) {
-    const Morsel ms = src.morsel(i);
-    const bool tr =
-        obs::TraceEnabled() && (i & obs::kMorselSampleMask) == 0;
-    const uint64_t tt0 = tr ? obs::TraceTicks() : 0;
-    const double t0 = NowNs();
-    frags[i].status =
-        GatherRowsSpan(col, ids.data() + ms.begin, ms.size(), range, sliced,
-                       align, &frags[i].head, &frags[i].values, simd_ops_);
-    const auto [db, de] = domain(ms);
-    mm[i] = MorselMetrics{ms.size(), frags[i].values.size(), NowNs() - t0,
-                          worker, db, de};
-    if (tr) {
-      obs::EmitSpan(obs::SpanKind::kMorsel, "morsel-gather", tt0,
-                    obs::TraceTicks(), m->node_id, static_cast<int64_t>(i),
-                    static_cast<int64_t>(frags[i].values.size()));
-    }
-  });
-
-  // Errors surface from the lowest-indexed failing morsel: morsel order is
-  // input order, so this is the same first-offender error the whole-list
-  // kernel (and the scalar interpreter) reports.
-  for (const auto& f : frags) {
-    if (!f.status.ok()) return f.status;
-  }
-  size_t total = 0;
-  for (const auto& f : frags) total += f.head.size();
-  head->reserve(head->size() + total);
-  values->Reserve(values->size() + total);
-  for (auto& f : frags) {
-    head->insert(head->end(), f.head.begin(), f.head.end());
-    values->Append(f.values);
-  }
-  m->morsels = std::move(mm);
-  return Status::OK();
 }
 
 void Evaluator::MorselGroupBy(const int64_t* keys, uint64_t n,
@@ -462,31 +290,33 @@ size_t Evaluator::MorselSortPerm(const SortKeys& keys, uint64_t n,
 }
 
 template <typename Span>
-size_t Evaluator::ForEachMorsel(const MorselSource& src, const char* trace_name,
-                                uint64_t in_per_row, OpMetrics* m,
-                                Span&& span) {
+void Evaluator::ForEachMorsel(const MorselSource& src, const char* trace_name,
+                              uint64_t in_per_row, OpMetrics* m, Span&& span) {
   const size_t nm = src.num_morsels();
   if (nm < 2) {
     span(src.morsel(0));
-    return 1;
+    return;
   }
   std::vector<MorselMetrics> mm(nm);
   morsel_scheduler()->ParallelFor(nm, [&](size_t i, int worker) {
     const Morsel ms = src.morsel(i);
+    // Sampled by deterministic morsel index, so the trace never depends on
+    // which worker ran the morsel (determinism) and hot loops pay at most
+    // one span per kMorselSampleMask+1 tasks.
     const bool tr =
         obs::TraceEnabled() && (i & obs::kMorselSampleMask) == 0;
     const uint64_t tt0 = tr ? obs::TraceTicks() : 0;
     const double t0 = NowNs();
-    const uint64_t out = span(ms);
-    mm[i] = MorselMetrics{ms.size() * in_per_row, out, NowNs() - t0, worker};
+    const MorselOut out = span(ms);
+    mm[i] = MorselMetrics{ms.size() * in_per_row, out.tuples, NowNs() - t0,
+                          worker, out.domain_begin, out.domain_end};
     if (tr) {
       obs::EmitSpan(obs::SpanKind::kMorsel, trace_name, tt0, obs::TraceTicks(),
                     m->node_id, static_cast<int64_t>(i),
-                    static_cast<int64_t>(out));
+                    static_cast<int64_t>(out.tuples));
     }
   });
   m->morsels = std::move(mm);
-  return nm;
 }
 
 void Evaluator::MorselJoinProbe(uint64_t n, const ProbeSpan& probe_span,
@@ -501,27 +331,18 @@ void Evaluator::MorselJoinProbe(uint64_t n, const ProbeSpan& probe_span,
     std::vector<oid> l, r;
   };
   std::vector<Frag> frags(std::max<size_t>(src.num_morsels(), 1));
-  const size_t nm =
-      ForEachMorsel(src, "morsel-probe", 1, m, [&](const Morsel& ms) {
-        Frag& f = frags[ms.index];
-        f.l.reserve(ms.size());
-        f.r.reserve(ms.size());
-        probe_span(ms.begin, ms.end, &f.l, &f.r);
-        return f.l.size();
-      });
-  if (nm == 1) {
-    result->rowids = std::move(frags[0].l);
-    result->rrowids = std::move(frags[0].r);
-    return;
-  }
-  size_t total = 0;
-  for (const auto& f : frags) total += f.l.size();
-  result->rowids.reserve(total);
-  result->rrowids.reserve(total);
-  for (const auto& f : frags) {
-    result->rowids.insert(result->rowids.end(), f.l.begin(), f.l.end());
-    result->rrowids.insert(result->rrowids.end(), f.r.begin(), f.r.end());
-  }
+  ForEachMorsel(src, "morsel-probe", 1, m, [&](const Morsel& ms) {
+    Frag f;
+    f.l.reserve(ms.size());
+    f.r.reserve(ms.size());
+    probe_span(ms.begin, ms.end, &f.l, &f.r);
+    const uint64_t out = f.l.size();
+    frags[ms.index] = std::move(f);
+    return MorselOut{out};
+  });
+  result->rowids = ConcatFragments(&frags, [](Frag& f) -> auto& { return f.l; });
+  result->rrowids =
+      ConcatFragments(&frags, [](Frag& f) -> auto& { return f.r; });
 }
 
 std::shared_ptr<HashIndex> Evaluator::GetOrBuildHash(const Column& column) {
@@ -561,6 +382,7 @@ Status Evaluator::Execute(const QueryPlan& plan, EvalResult* out) {
   std::vector<Intermediate> slots(plan.num_nodes());
   std::vector<uint8_t> done(plan.num_nodes(), 0);
   std::vector<OpMetrics> metrics(order.size());
+  std::vector<uint64_t> charged(plan.num_nodes(), 0);
 
   {
     std::lock_guard<std::mutex> lock(hash_mu_);
@@ -574,13 +396,11 @@ Status Evaluator::Execute(const QueryPlan& plan, EvalResult* out) {
                            static_cast<int64_t>(order.size()),
                            static_cast<int64_t>(obs::CurrentQueryId()));
   double t0 = NowNs();
-  Status exec_st = RunDag(plan, order, &slots, &done, &metrics);
-  // Uncharge every materialized slot (ExecNode charged each completed
-  // node's output durable) before slots are moved out — on the error path
-  // too, so a failed query cannot leave drift behind.
-  for (int id : order) {
-    if (done[id]) obs::UnchargeBytes(slots[id].ByteSize());
-  }
+  Status exec_st = RunDag(plan, order, &slots, &done, &metrics, &charged);
+  // Return exactly what ExecNode charged durable for each completed node's
+  // output — on the error path too, so a failed query cannot leave drift
+  // behind.
+  for (int id : order) obs::UnchargeBytes(charged[id]);
   APQ_RETURN_NOT_OK(exec_st);
   out->wall_ns = NowNs() - t0;
 
@@ -623,7 +443,8 @@ Status Evaluator::RunDag(const QueryPlan& plan,
                          const std::vector<int>& order,
                          std::vector<Intermediate>* slots,
                          std::vector<uint8_t>* done,
-                         std::vector<OpMetrics>* metrics) {
+                         std::vector<OpMetrics>* metrics,
+                         std::vector<uint64_t>* charged) {
   // Dataflow bookkeeping over reachable nodes. Duplicate inputs (e.g. a map
   // of x with itself) contribute one pending count per edge.
   const int n = plan.num_nodes();
@@ -647,7 +468,7 @@ Status Evaluator::RunDag(const QueryPlan& plan,
     const PlanNode& node = plan.node(id);
     m->node_id = id;
     m->kind = node.kind;
-    return ExecNode(plan, node, ctx, out, m);
+    return ExecNode(plan, node, ctx, out, m, &(*charged)[id]);
   };
 
   std::vector<Status> statuses;
@@ -693,7 +514,7 @@ Status Evaluator::RunDag(const QueryPlan& plan,
 
 Status Evaluator::ExecNode(const QueryPlan& plan, const PlanNode& node,
                            const ExecContext& ctx, Intermediate* result,
-                           OpMetrics* m) {
+                           OpMetrics* m, uint64_t* charged) {
   // One span per operator execution; OpKindName returns static-storage
   // strings, as the ring buffer requires. Tuple counts are attached after
   // the operator ran.
@@ -711,8 +532,17 @@ Status Evaluator::ExecNode(const QueryPlan& plan, const PlanNode& node,
   const double node_wall = NowNs() - t0;
   if (st.ok()) {
     // The node's materialized output stays live until the Execute-level
-    // sweep uncharges every slot after the run.
-    obs::ChargeBytes(result->ByteSize());
+    // sweep uncharges it after the run. A head forwarded from an input (maps,
+    // the result node) is that input's buffer, already charged once.
+    uint64_t bytes = result->ByteSize();
+    for (int id : node.inputs) {
+      if (result->head.SharesBufferWith((*ctx.slots)[id].head)) {
+        bytes -= result->head.size() * sizeof(oid);
+        break;
+      }
+    }
+    *charged = bytes;
+    obs::ChargeBytes(bytes);
   }
   if (obs::AccountingEnabled()) {
     m->peak_bytes = acct.peak_bytes.load(std::memory_order_relaxed);
@@ -792,23 +622,40 @@ Status Evaluator::ExecSelect(const PlanNode& node, const ExecContext& ctx,
   }
 
   if (options_.use_kernels) {
-    // Morsel-driven path first: splits the input across the work-stealing
-    // scheduler and concatenates per-morsel fragments in input order. Returns
-    // 0 when the input fits in a single morsel, in which case the
-    // whole-column kernel below runs (identical output either way).
-    const size_t nm =
-        in ? MorselSelectCandidates(col, range, node.pred, &like_match,
-                                    in->rowids, result, m)
-           : MorselSelectDense(col, range, node.pred, &like_match, result, m);
-    if (nm == 0) {
-      if (in) {
-        SelectCandidates(col, range, node.pred, &like_match, in->rowids,
-                         &result->rowids, &m->random_accesses, simd_ops_);
-      } else {
-        SelectDense(col, range, node.pred, &like_match, &result->rowids,
-                    simd_ops_);
-      }
-    }
+    // One span body for one morsel or many: each morsel selects into a
+    // fragment of its own, and concatenation in morsel order reproduces one
+    // whole-column scan bit for bit (the kernels append row ids in input
+    // order). A dense morsel's domain is its row range.
+    const oid* cand = in ? in->rowids.data() : nullptr;
+    const uint64_t rows = MorselRowsForNode(node.id);
+    const MorselSource src =
+        in ? MorselSource(0, in->rowids.size(), rows) : MorselSource(range, rows);
+    const size_t nf = std::max<size_t>(src.num_morsels(), 1);
+    std::vector<std::vector<oid>> frags(nf);
+    std::vector<uint64_t> accesses(nf, 0);
+    ForEachMorsel(
+        src, in ? "morsel-select-cand" : "morsel-select", 1, m,
+        [&](const Morsel& ms) {
+          std::vector<oid> out;
+          MorselOut mo;
+          if (in) {
+            uint64_t acc = 0;
+            SelectCandidatesSpan(col, range, node.pred, &like_match,
+                                 cand + ms.begin, ms.size(), &out, &acc,
+                                 simd_ops_);
+            accesses[ms.index] = acc;
+            mo = IdSpanOut(out.size(), cand, ms, range);
+          } else {
+            SelectDense(col, RowRange{ms.begin, ms.end}, node.pred,
+                        &like_match, &out, simd_ops_);
+            mo = MorselOut{out.size(), ms.begin, ms.end};
+          }
+          frags[ms.index] = std::move(out);
+          return mo;
+        });
+    result->rowids =
+        ConcatFragments(&frags, [](std::vector<oid>& f) -> auto& { return f; });
+    for (uint64_t acc : accesses) m->random_accesses += acc;
   } else {
     // Scalar reference path: per-row lambda re-dispatching on kind and type.
     bool is_f64 = col.type() == DataType::kFloat64;
@@ -877,13 +724,56 @@ Status Evaluator::ExecFetchJoin(const PlanNode& node, const ExecContext& ctx,
   bool sliced = node.has_slice;
   std::vector<oid> head;
   if (options_.use_kernels) {
-    bool morsels_ran = false;
-    APQ_RETURN_NOT_OK(MorselGather(col, *ids, range, sliced, node.align,
-                                   &head, &result->values, m, &morsels_ran));
-    if (!morsels_ran) {
-      APQ_RETURN_NOT_OK(GatherRows(col, *ids, range, sliced, node.align,
-                                   &head, &result->values, simd_ops_));
+    const oid* row_ids = ids->data();
+    const MorselSource src(0, ids->size(), MorselRowsForNode(node.id));
+    std::vector<Status> statuses(std::max<size_t>(src.num_morsels(), 1));
+    if (!(sliced && node.align == AlignPolicy::kAdjust)) {
+      // Without kAdjust clipping every id yields exactly one output (strict
+      // slices validate, they don't drop), so morsel i owns exactly the
+      // output span [ms.begin, ms.end) of the pre-sized result.
+      head.resize(ids->size());
+      if (result->values.is_f64()) {
+        result->values.f64.resize(ids->size());
+      } else {
+        result->values.i64.resize(ids->size());
+      }
+      ForEachMorsel(src, "morsel-gather", 1, m, [&](const Morsel& ms) {
+        statuses[ms.index] =
+            GatherRowsAt(col, row_ids + ms.begin, ms.size(), range,
+                         /*strict_sliced=*/sliced, head.data() + ms.begin,
+                         &result->values, ms.begin, simd_ops_);
+        return IdSpanOut(ms.size(), row_ids, ms, range);
+      });
+    } else {
+      // kAdjust: clipping makes output sizes data-dependent, so each morsel
+      // gathers into a fragment of its own.
+      struct Frag {
+        std::vector<oid> head;
+        ValueVec values;
+      };
+      std::vector<Frag> frags(statuses.size());
+      ForEachMorsel(src, "morsel-gather", 1, m, [&](const Morsel& ms) {
+        Frag f;
+        f.values = MakeVecLike(col);
+        statuses[ms.index] =
+            GatherRowsSpan(col, row_ids + ms.begin, ms.size(), range, sliced,
+                           node.align, &f.head, &f.values, simd_ops_);
+        const uint64_t out = f.values.size();
+        frags[ms.index] = std::move(f);
+        return IdSpanOut(out, row_ids, ms, range);
+      });
+      head = ConcatFragments(&frags, [](Frag& f) -> auto& { return f.head; });
+      if (result->values.is_f64()) {
+        result->values.f64 = ConcatFragments(
+            &frags, [](Frag& f) -> auto& { return f.values.f64; });
+      } else {
+        result->values.i64 = ConcatFragments(
+            &frags, [](Frag& f) -> auto& { return f.values.i64; });
+      }
     }
+    // The lowest failing morsel is the input-order first offender: the same
+    // error one whole-list gather (and the scalar interpreter) reports.
+    for (const Status& st : statuses) APQ_RETURN_NOT_OK(st);
   } else {
     head.reserve(ids->size());
     result->values.Reserve(ids->size());
@@ -1432,25 +1322,6 @@ Status Evaluator::ExecUnion(const PlanNode& node, const ExecContext& ctx,
       }
       break;
     }
-    case Intermediate::Kind::kGroupedAgg: {
-      result->kind = kind;
-      result->group_keys.type = ins[0]->group_keys.type;
-      result->group_keys.dict = ins[0]->group_keys.dict;
-      for (const auto* in : ins) {
-        result->group_keys.Append(in->group_keys);
-        result->agg_vals.insert(result->agg_vals.end(), in->agg_vals.begin(),
-                                in->agg_vals.end());
-        if (in->agg_counts.empty()) {
-          result->agg_counts.insert(result->agg_counts.end(),
-                                    in->agg_vals.size(), 1);
-        } else {
-          result->agg_counts.insert(result->agg_counts.end(),
-                                    in->agg_counts.begin(),
-                                    in->agg_counts.end());
-        }
-      }
-      break;
-    }
     default:
       return Status::Unsupported("exchange union over kind " +
                                  std::string(Intermediate::KindName(kind)));
@@ -1539,7 +1410,7 @@ Status Evaluator::ExecMap(const PlanNode& node, const ExecContext& ctx,
     ForEachMorsel(MorselSource(0, n, MorselRowsForNode(node.id)), "morsel-map",
                   b ? 2 : 1, m, [&](const Morsel& ms) {
                     MapSpan(args, ms.begin, ms.end, out);
-                    return ms.size();
+                    return MorselOut{ms.size()};
                   });
   } else {
     // Scalar reference path: per-row switch over the map function.

@@ -14,7 +14,9 @@
 // tight loop per predicate or map function and operand type), join probes
 // walk the hash chain inline in one typed loop per input shape, and group-by
 // and aggregate merges ingest through the flat AggTable (exec/agg/). Each of
-// these runs per morsel when its input splits. Maps and group-bys share
+// these runs per morsel when its input splits. Selects, fetch-joins, maps and
+// probes keep one span body each, which ForEachMorsel (the one morsel driver)
+// runs per morsel or once over a one-morsel input. Maps and group-bys share
 // their input's head row ids instead of copying them. The original
 // row-at-a-time interpreter is retained behind ExecOptions::use_kernels =
 // false as a reference implementation for correctness tests and the
@@ -213,15 +215,23 @@ class Evaluator {
   /// Runs the plan DAG in waves: every node whose inputs are done runs
   /// next, one-node waves inline on the calling thread, wider waves as one
   /// ParallelFor (the caller taking part). Outputs and metrics land at their
-  /// topological positions. On failure the wave's successful outputs are
-  /// still published (the caller's uncharge sweep needs them) and the error
-  /// of the failing node with the lowest topological position is returned.
+  /// topological positions, and (*charged)[id] receives the bytes ExecNode
+  /// charged for node id's output, which the caller returns after the run.
+  /// On failure the wave's successful outputs are still published and
+  /// charged, and the error of the failing node with the lowest topological
+  /// position is returned.
   Status RunDag(const QueryPlan& plan, const std::vector<int>& order,
                 std::vector<Intermediate>* slots, std::vector<uint8_t>* done,
-                std::vector<OpMetrics>* metrics);
+                std::vector<OpMetrics>* metrics,
+                std::vector<uint64_t>* charged);
 
+  /// Runs one node under its operator span and accounting block. On success
+  /// its output stays charged durable; `*charged` receives the amount: the
+  /// output's ByteSize less a head shared with an input, which that input's
+  /// charge already covers.
   Status ExecNode(const QueryPlan& plan, const PlanNode& node,
-                  const ExecContext& ctx, Intermediate* result, OpMetrics* m);
+                  const ExecContext& ctx, Intermediate* result, OpMetrics* m,
+                  uint64_t* charged);
   Status ExecNodeInner(const QueryPlan& plan, const PlanNode& node,
                        const ExecContext& ctx, Intermediate* result,
                        OpMetrics* m);
@@ -244,25 +254,6 @@ class Evaluator {
                  Intermediate* result, OpMetrics* m);
   Status ExecSort(const PlanNode& node, const ExecContext& ctx,
                   Intermediate* result, OpMetrics* m);
-
-  /// Morsel-parallel select over a dense range. Returns the number of morsels
-  /// run (0 = caller should take the whole-column path).
-  size_t MorselSelectDense(const Column& col, RowRange range,
-                           const Predicate& pred,
-                           const std::vector<uint8_t>* like_match,
-                           Intermediate* result, OpMetrics* m);
-  /// Morsel-parallel select over a candidate list.
-  size_t MorselSelectCandidates(const Column& col, RowRange range,
-                                const Predicate& pred,
-                                const std::vector<uint8_t>* like_match,
-                                const std::vector<oid>& candidates,
-                                Intermediate* result, OpMetrics* m);
-  /// Morsel-parallel fetch-join gather; on success appends to `head` /
-  /// `values`. `*ran` reports whether the morsel path was taken.
-  Status MorselGather(const Column& col, const std::vector<oid>& ids,
-                      RowRange range, bool sliced, AlignPolicy align,
-                      std::vector<oid>* head, ValueVec* values, OpMetrics* m,
-                      bool* ran);
 
   /// Group-by ingest over keys[0..n) through AggTable (exec/agg/): fills
   /// result->group_ids / group_keys.i64 in the scalar first-occurrence
@@ -290,15 +281,18 @@ class Evaluator {
                         uint64_t limit, std::vector<uint64_t>* perm,
                         OpMetrics* m);
 
-  /// Runs `span(morsel)` over every morsel of `src`: on the scheduler when
-  /// there are two or more, else once inline (an empty or one-morsel input
-  /// is the whole input), so an operator keeps one loop body for both.
-  /// `span` returns the tuples its morsel produced. Per-morsel metrics
-  /// (tuples_in = rows x `in_per_row`) land in m->morsels only when the
-  /// input split. Returns the number of spans run (>= 1).
+  /// The one morsel driver of the evaluator: runs `span(morsel)` over every
+  /// morsel of `src`, on the scheduler when there are two or more, else once
+  /// inline (an empty or one-morsel input is the whole input), so an
+  /// operator keeps one loop body for both. `span` returns its MorselOut.
+  /// Per-morsel metrics (tuples_in = rows x `in_per_row`) land in m->morsels
+  /// only when the input split; a sampled trace span named `trace_name`
+  /// marks every kMorselSampleMask+1-th morsel. A span that produces a
+  /// fragment builds it in locals and publishes it into its own slot once,
+  /// so no two workers write neighbouring vector headers while they run.
   template <typename Span>
-  size_t ForEachMorsel(const MorselSource& src, const char* trace_name,
-                       uint64_t in_per_row, OpMetrics* m, Span&& span);
+  void ForEachMorsel(const MorselSource& src, const char* trace_name,
+                     uint64_t in_per_row, OpMetrics* m, Span&& span);
 
   /// A join's probe loop over input positions [begin, end), appending
   /// (outer, inner) matches to the two vectors.
@@ -308,7 +302,7 @@ class Evaluator {
   /// Morsel-parallel hash-join probe: runs `probe_span` per morsel into
   /// ordered pair fragments and sets result->rowids/rrowids to their
   /// concatenation in morsel order — bit-identical to one sequential probe
-  /// over [0, n). A one-morsel input probes straight into the result.
+  /// over [0, n). A one-morsel input's fragment is moved into the result.
   void MorselJoinProbe(uint64_t n, const ProbeSpan& probe_span,
                        Intermediate* result, OpMetrics* m);
 

@@ -147,6 +147,8 @@ struct Intermediate {
   }
 
   /// Approximate bytes materialized by this intermediate (drives union cost).
+  /// A shared head counts for every holder; the evaluator's memory charge
+  /// leaves out a head forwarded from an input.
   uint64_t ByteSize() const {
     switch (kind) {
       case Kind::kRowIds: return rowids.size() * sizeof(oid);

@@ -2,11 +2,14 @@
 //
 // A morsel is a contiguous chunk of the input — a row-id subrange of a dense
 // scan, or an index span of a candidate list / fetch-join id list. Morsels
-// are indexed 0..num_morsels() in input order; the evaluator executes each
-// morsel through the whole-column kernels (exec/kernels.h) into a per-morsel
-// fragment and concatenates the fragments by morsel index, which reproduces
-// whole-column execution bit-for-bit regardless of which scheduler worker ran
-// which morsel in what order.
+// are indexed 0..num_morsels() in input order. The evaluator's one morsel
+// driver (Evaluator::ForEachMorsel) runs an operator's span body over each
+// morsel, through the span forms of the kernels (exec/kernels.h): into a
+// per-morsel fragment that is concatenated by morsel index, or into the
+// morsel's own slice of a pre-sized output. Either way the result equals
+// whole-column execution bit for bit, whichever scheduler worker ran which
+// morsel in what order. Each span reports a MorselOut, from which the driver
+// fills the morsel's MorselMetrics.
 #ifndef APQ_EXEC_MORSEL_SOURCE_H_
 #define APQ_EXEC_MORSEL_SOURCE_H_
 
@@ -50,6 +53,15 @@ struct Morsel {
   uint64_t end = 0;
 
   uint64_t size() const { return end - begin; }
+};
+
+/// \brief What one morsel's span produced: its output tuples and, when
+/// known, the base-row domain it covered (MorselMetrics::domain_begin/end;
+/// equal bounds = unknown).
+struct MorselOut {
+  uint64_t tuples = 0;
+  uint64_t domain_begin = 0;
+  uint64_t domain_end = 0;
 };
 
 /// \brief Enumerates the morsels covering [begin, end).

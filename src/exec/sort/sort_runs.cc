@@ -8,25 +8,34 @@
 
 namespace apq {
 
-void SortPermSequential(const SortKeys& keys, uint64_t n, bool descending,
-                        uint64_t limit, std::vector<uint64_t>* perm) {
-  perm->resize(n);
-  std::iota(perm->begin(), perm->end(), uint64_t{0});
-  const SortKeyLess less{keys, descending};
-  if (limit > 0 && limit < n) {
+namespace {
+
+// Fills `run` with the positions [begin, end) in (key value, position)
+// order, keeping only the first `limit` of them when 0 < limit < end - begin.
+void SortPositions(const SortKeyLess& less, uint64_t begin, uint64_t end,
+                   uint64_t limit, std::vector<uint64_t>* run) {
+  run->resize(end - begin);
+  std::iota(run->begin(), run->end(), begin);
+  if (limit > 0 && limit < run->size()) {
     // Heap-select the limit smallest under the total order: O(n log limit)
     // instead of sorting all n rows. The position tie-break makes the result
     // identical to a full stable sort's first `limit` rows even though
     // partial_sort itself is unstable.
-    std::partial_sort(perm->begin(),
-                      perm->begin() + static_cast<int64_t>(limit), perm->end(),
-                      less);
-    perm->resize(limit);
+    std::partial_sort(run->begin(), run->begin() + static_cast<int64_t>(limit),
+                      run->end(), less);
+    run->resize(limit);
   } else {
     // (value, position) is a total order, so an unstable sort over it equals
     // std::stable_sort over values — without stable_sort's O(n) scratch.
-    std::sort(perm->begin(), perm->end(), less);
+    std::sort(run->begin(), run->end(), less);
   }
+}
+
+}  // namespace
+
+void SortPermSequential(const SortKeys& keys, uint64_t n, bool descending,
+                        uint64_t limit, std::vector<uint64_t>* perm) {
+  SortPositions(SortKeyLess{keys, descending}, 0, n, limit, perm);
 }
 
 size_t BuildSortRuns(const SortKeys& keys, uint64_t n,
@@ -44,18 +53,11 @@ size_t BuildSortRuns(const SortKeys& keys, uint64_t n,
     const Morsel ms = src.morsel(i);
     const double t0 = NowNs();
     std::vector<uint64_t>& run = (*runs)[base + i];
-    run.resize(ms.size());
-    std::iota(run.begin(), run.end(), ms.begin);
-    const SortKeyLess less{keys, descending};
-    if (opts.limit > 0 && opts.limit < run.size()) {
-      std::partial_sort(run.begin(),
-                        run.begin() + static_cast<int64_t>(opts.limit),
-                        run.end(), less);
-      run.resize(opts.limit);
-      run.shrink_to_fit();  // bounded top-N keeps runs x limit rows live
-    } else {
-      std::sort(run.begin(), run.end(), less);
-    }
+    SortPositions(SortKeyLess{keys, descending}, ms.begin, ms.end, opts.limit,
+                  &run);
+    // Bounded top-N keeps runs x limit rows live; a full run is already
+    // exactly sized, so this only frees a clipped run's tail.
+    run.shrink_to_fit();
     // Durable: the run stays live until the merge consumes it; the caller
     // (MorselSortPerm) adopts and releases the sum of all run charges.
     obs::ChargeBytes(run.size() * sizeof(uint64_t));

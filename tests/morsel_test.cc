@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <string>
+#include <utility>
 #include <thread>
 
 #include "exec/compare.h"
@@ -349,6 +351,225 @@ TEST_F(MorselDifferentialTest, ScalarInterpreterIsNeverMorselized) {
   EvalResult er;
   ASSERT_TRUE(eval.Execute(Pipeline(499, 0.5), &er).ok());
   for (const auto& m : er.metrics) EXPECT_TRUE(m.morsels.empty());
+}
+
+// ---- per-morsel metrics (what the skew-aware mutator reads) ----------------
+
+// The per-morsel histogram of an operator over `n` input positions split
+// every `rows`: `out(b, e)` counts the outputs of positions [b, e) and
+// `domain(b, e)` gives their base-row domain. An input of one morsel runs
+// whole-column and reports no histogram.
+template <typename Out, typename Domain>
+std::vector<MorselMetrics> ExpectedMorsels(uint64_t n, uint64_t rows, Out out,
+                                           Domain domain) {
+  std::vector<MorselMetrics> want;
+  if (n <= rows) return want;
+  for (uint64_t b = 0; b < n; b += rows) {
+    const uint64_t e = std::min(n, b + rows);
+    const auto [db, de] = domain(b, e);
+    want.push_back(MorselMetrics{e - b, out(b, e), 0, -1, db, de});
+  }
+  return want;
+}
+
+// The domain of id-list positions [b, e): [ids[b], ids[e-1] + 1), withheld
+// as (0, 0) when it crosses `slice`.
+std::pair<uint64_t, uint64_t> IdDomain(const std::vector<oid>& ids,
+                                       uint64_t b, uint64_t e, RowRange slice) {
+  const uint64_t db = ids[b];
+  const uint64_t de = ids[e - 1] + 1;
+  if (db < slice.begin || de > slice.end) return {0, 0};
+  return {db, de};
+}
+
+void ExpectMorselsEq(const std::vector<MorselMetrics>& want,
+                     const OpMetrics& got, const std::string& where) {
+  ASSERT_EQ(got.morsels.size(), want.size()) << where;
+  for (size_t i = 0; i < want.size(); ++i) {
+    const MorselMetrics& g = got.morsels[i];
+    EXPECT_EQ(g.tuples_in, want[i].tuples_in) << where << " morsel " << i;
+    EXPECT_EQ(g.tuples_out, want[i].tuples_out) << where << " morsel " << i;
+    EXPECT_EQ(g.domain_begin, want[i].domain_begin) << where << " morsel " << i;
+    EXPECT_EQ(g.domain_end, want[i].domain_end) << where << " morsel " << i;
+  }
+}
+
+const OpMetrics& MetricsOf(const EvalResult& er, int node_id) {
+  for (const auto& m : er.metrics) {
+    if (m.node_id == node_id) return m;
+  }
+  ADD_FAILURE() << "no metrics for node " << node_id;
+  static const OpMetrics none;
+  return none;
+}
+
+class MorselMetricsTest : public MorselDifferentialTest {
+ protected:
+  // Runs `plan` at morsel_rows 7 and 4096 on 1- and 4-worker fleets and
+  // hands each result, with the rows per morsel node `id` actually used (an
+  // APQ_FORCE_MORSELS override wins), to `check`.
+  template <typename Check>
+  void ForEachFleet(const QueryPlan& plan, int id, Check check) {
+    for (uint64_t rows : {uint64_t{7}, uint64_t{4096}}) {
+      for (int workers : {1, 4}) {
+        ExecOptions o;
+        o.morsel_rows = rows;
+        Evaluator eval(o, std::make_shared<MorselScheduler>(workers));
+        EvalResult er;
+        ASSERT_TRUE(eval.Execute(plan, &er).ok())
+            << "rows=" << rows << " workers=" << workers;
+        check(er, eval.MorselRowsForNode(id),
+              "rows=" + std::to_string(rows) +
+                  " workers=" + std::to_string(workers));
+      }
+    }
+  }
+
+  // Checks a fetch-join over `ids` into `col` restricted to `slice` when
+  // `sliced`: kAdjust drops out-of-slice ids, every other form emits one
+  // value per id.
+  void CheckFetchJoin(const QueryPlan& plan, int fetch, int input,
+                      FetchSide side) {
+    const PlanNode& node = plan.node(fetch);
+    const RowRange slice = node.EffectiveRange();
+    const bool clip = node.has_slice && node.align == AlignPolicy::kAdjust;
+    ForEachFleet(plan, fetch, [&](const EvalResult& er, uint64_t rows,
+                                  const std::string& where) {
+      const Intermediate& in = er.intermediates.at(input);
+      const std::vector<oid>& ids =
+          side == FetchSide::kRight ? in.rrowids : in.rowids;
+      auto out = [&](uint64_t b, uint64_t e) {
+        uint64_t k = 0;
+        for (uint64_t i = b; i < e; ++i) k += !clip || slice.Contains(ids[i]);
+        return k;
+      };
+      const OpMetrics& m = MetricsOf(er, fetch);
+      ExpectMorselsEq(ExpectedMorsels(ids.size(), rows, out,
+                                      [&](uint64_t b, uint64_t e) {
+                                        return IdDomain(ids, b, e, slice);
+                                      }),
+                      m, where);
+      EXPECT_EQ(m.tuples_in, ids.size()) << where;
+      EXPECT_EQ(m.random_accesses, out(0, ids.size())) << where;
+      EXPECT_EQ(m.tuples_out, out(0, ids.size())) << where;
+    });
+  }
+};
+
+TEST_F(MorselMetricsTest, DenseSelectReportsRowRanges) {
+  PlanBuilder b("dense");
+  const Predicate pred = Predicate::RangeI64(0, 499);
+  const int s = b.Select(ints_.get(), pred);
+  const QueryPlan plan = b.Result(s);
+  const auto& v = ints_->i64();
+  ForEachFleet(plan, s, [&](const EvalResult& er, uint64_t rows,
+                            const std::string& where) {
+    auto out = [&](uint64_t b, uint64_t e) {
+      uint64_t k = 0;
+      for (uint64_t r = b; r < e; ++r) k += v[r] >= 0 && v[r] <= 499;
+      return k;
+    };
+    const OpMetrics& m = MetricsOf(er, s);
+    ExpectMorselsEq(ExpectedMorsels(v.size(), rows, out,
+                                    [](uint64_t b, uint64_t e) {
+                                      return std::make_pair(b, e);
+                                    }),
+                    m, where);
+    EXPECT_EQ(m.tuples_out, out(0, v.size())) << where;
+    EXPECT_EQ(m.random_accesses, 0u) << where;
+  });
+}
+
+TEST_F(MorselMetricsTest, CandidateSelectWithholdsDomainsCrossingItsSlice) {
+  PlanBuilder b("cand");
+  const int s1 = b.Select(ints_.get(), Predicate::RangeI64(0, 499));
+  const int s2 = b.Select(floats_.get(), Predicate::RangeF64(0.0, 0.5), s1);
+  QueryPlan plan = b.Result(s2);
+  // The candidates span the whole table, so morsels straddling either slice
+  // bound (and all those outside it) must report no domain.
+  const RowRange slice{5003, 12011};
+  plan.node(s2).has_slice = true;
+  plan.node(s2).slice = slice;
+  const auto& f = floats_->f64();
+  ForEachFleet(plan, s2, [&](const EvalResult& er, uint64_t rows,
+                             const std::string& where) {
+    const std::vector<oid>& ids = er.intermediates.at(s1).rowids;
+    auto in_slice = [&](uint64_t b, uint64_t e) {
+      uint64_t k = 0;
+      for (uint64_t i = b; i < e; ++i) k += slice.Contains(ids[i]);
+      return k;
+    };
+    auto out = [&](uint64_t b, uint64_t e) {
+      uint64_t k = 0;
+      for (uint64_t i = b; i < e; ++i) {
+        k += slice.Contains(ids[i]) && f[ids[i]] >= 0.0 && f[ids[i]] <= 0.5;
+      }
+      return k;
+    };
+    const auto want = ExpectedMorsels(
+        ids.size(), rows, out,
+        [&](uint64_t b, uint64_t e) { return IdDomain(ids, b, e, slice); });
+    const OpMetrics& m = MetricsOf(er, s2);
+    ExpectMorselsEq(want, m, where);
+    EXPECT_EQ(m.tuples_out, out(0, ids.size())) << where;
+    EXPECT_EQ(m.random_accesses, in_slice(0, ids.size())) << where;
+    // The slice really is crossed: some morsels withhold their domain, and
+    // morsels small enough to fit inside the slice report theirs.
+    size_t known = 0;
+    for (const auto& w : want) known += w.domain_end > w.domain_begin;
+    if (!want.empty()) EXPECT_LT(known, want.size()) << where;
+    if (rows <= 512) EXPECT_GT(known, 0u) << where;
+  });
+}
+
+TEST_F(MorselMetricsTest, FetchJoinUnsliced) {
+  PlanBuilder b("fetch");
+  const int s = b.Select(ints_.get(), Predicate::RangeI64(0, 499));
+  const int f = b.FetchJoin(floats_.get(), s);
+  CheckFetchJoin(b.Result(f), f, s, FetchSide::kLeft);
+}
+
+TEST_F(MorselMetricsTest, FetchJoinStrictSlice) {
+  // Candidates from a select over [5000, 12000) all lie inside the strict
+  // fetch slice, so the gather succeeds and every domain is known.
+  PlanBuilder b("strict");
+  const int s = b.Select(ints_.get(), Predicate::RangeI64(0, 499));
+  const int f = b.FetchJoin(floats_.get(), s);
+  QueryPlan plan = b.Result(f);
+  plan.node(s).has_slice = true;
+  plan.node(s).slice = RowRange{5000, 12000};
+  plan.node(f).has_slice = true;
+  plan.node(f).slice = RowRange{4000, 13000};
+  plan.node(f).align = AlignPolicy::kStrict;
+  CheckFetchJoin(plan, f, s, FetchSide::kLeft);
+}
+
+TEST_F(MorselMetricsTest, FetchJoinAdjustSlice) {
+  PlanBuilder b("adjust");
+  const int s = b.Select(ints_.get(), Predicate::RangeI64(0, 499));
+  const int f = b.FetchJoin(floats_.get(), s);
+  QueryPlan plan = b.Result(f);
+  plan.node(f).has_slice = true;
+  plan.node(f).slice = RowRange{5003, 12011};
+  plan.node(f).align = AlignPolicy::kAdjust;
+  CheckFetchJoin(plan, f, s, FetchSide::kLeft);
+}
+
+TEST_F(MorselMetricsTest, FetchJoinPairsFedOnTheRightSide) {
+  // 1,500 inner keys over 0..999: outer rows match one or two inner rows,
+  // in hash-chain order, so the right-side ids are not ascending.
+  std::vector<int64_t> keys(1500);
+  std::vector<double> payload(1500);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = static_cast<int64_t>((i * 7) % 1000);
+    payload[i] = static_cast<double>(i) * 0.5;
+  }
+  auto inner = Column::MakeInt64("inner", std::move(keys));
+  auto pay = Column::MakeFloat64("pay", std::move(payload));
+  PlanBuilder b("pairs");
+  const int j = b.JoinLeaf(ints_.get(), inner.get());
+  const int f = b.FetchJoin(pay.get(), j, FetchSide::kRight);
+  CheckFetchJoin(b.Result(f), f, j, FetchSide::kRight);
 }
 
 // ---- wall-clock speedup (gated on real cores) ------------------------------

@@ -16,6 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/resource_tracker.h"
+#include "plan/builder.h"
 #include "sched/morsel_scheduler.h"
 #include "util/hash_clock.h"
 #include "workload/tpch.h"
@@ -287,6 +288,59 @@ TEST(ResourceTrackerTest, NodeWavesBillEveryNanosecondOnce) {
       EXPECT_EQ(qr.queue_wait_ns, op_wait)
           << qname << " workers=" << workers;
       EXPECT_EQ(qr.cur_bytes, 0u) << qname << " workers=" << workers;
+      obs::FinishQuery(id);
+    }
+  }
+}
+
+// A map forwards its input's head instead of copying it, so the head's
+// bytes are charged once, by the fetch-join that built it: each map's peak
+// is its own 8-byte values, and every durable charge is returned.
+TEST(ResourceTrackerTest, ForwardedHeadIsChargedOnce) {
+  AccountingGuard guard;
+  obs::SetAccountingEnabled(true);
+  std::vector<int64_t> iv(6000);
+  std::vector<double> fv(6000);
+  for (size_t i = 0; i < iv.size(); ++i) {
+    iv[i] = static_cast<int64_t>(i % 10);
+    fv[i] = static_cast<double>(i) * 0.25;
+  }
+  auto ints = Column::MakeInt64("ints", std::move(iv));
+  auto floats = Column::MakeFloat64("floats", std::move(fv));
+  PlanBuilder b("forwarded-head");
+  const int s = b.Select(ints.get(), Predicate::RangeI64(0, 6));
+  const int f = b.FetchJoin(floats.get(), s);
+  const int m1 = b.MapConst(MapFn::kMul, f, 2.0);
+  const int m2 = b.MapConst(MapFn::kAdd, m1, 1.0);
+  const QueryPlan plan = b.Result(m2);
+
+  for (uint64_t rows : {uint64_t{512}, uint64_t{1} << 20}) {
+    for (int workers : {1, 4}) {
+      const std::string where =
+          "rows=" + std::to_string(rows) + " workers=" + std::to_string(workers);
+      ExecOptions o;
+      o.morsel_rows = rows;
+      Evaluator ev(o, std::make_shared<MorselScheduler>(workers));
+      const uint64_t id = obs::NextQueryId();
+      EvalResult er;
+      {
+        obs::QueryIdScope qid(id);
+        ASSERT_TRUE(ev.Execute(plan, &er).ok()) << where;
+      }
+      ASSERT_TRUE(er.intermediates.at(m2).head.SharesBufferWith(
+          er.intermediates.at(f).head))
+          << where;
+      const uint64_t n = er.intermediates.at(f).values.size();
+      ASSERT_EQ(n, 4200u) << where;
+      for (const auto& m : er.metrics) {
+        if (m.node_id == m1 || m.node_id == m2) {
+          EXPECT_EQ(m.peak_bytes, n * sizeof(double))
+              << where << " map node " << m.node_id;
+        }
+      }
+      obs::QueryResources qr;
+      ASSERT_TRUE(obs::SnapshotQueryResources(id, &qr)) << where;
+      EXPECT_EQ(qr.cur_bytes, 0u) << where << " (charge drift!)";
       obs::FinishQuery(id);
     }
   }
